@@ -1159,20 +1159,6 @@ let micro_tests () =
       Test.make ~name:"fsim-ppsfp-400f-64p"
         (Staged.stage (fun () ->
              Fsim.Ppsfp.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-deductive-400f-64p"
-        (Staged.stage (fun () ->
-             Fsim.Deductive.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-concurrent-400f-64p-random"
-        (Staged.stage (fun () ->
-             Fsim.Concurrent.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-concurrent-400f-64p-walk"
-        (let walk_rng = Stats.Rng.create ~seed:23 () in
-         let walk = Tpg.Random_tpg.random_walk walk_rng circuit ~count:64 () in
-         Staged.stage (fun () -> Fsim.Concurrent.run circuit sample_faults walk));
-      Test.make ~name:"fsim-deductive-400f-64p-walk"
-        (let walk_rng = Stats.Rng.create ~seed:23 () in
-         let walk = Tpg.Random_tpg.random_walk walk_rng circuit ~count:64 () in
-         Staged.stage (fun () -> Fsim.Deductive.run circuit sample_faults walk));
       Test.make ~name:"logicsim-packed-64p"
         (Staged.stage (fun () -> Logicsim.Packed.eval_block circuit one_block));
       Test.make ~name:"logicsim-ref-1p"

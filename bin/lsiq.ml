@@ -447,12 +447,10 @@ let fsim_cmd =
   in
   let engine =
     Arg.(value & opt (some (enum [ ("serial", Fsim.Coverage.Serial);
-                                   ("ppsfp", Fsim.Coverage.Parallel);
-                                   ("deductive", Fsim.Coverage.Deductive);
-                                   ("concurrent", Fsim.Coverage.Concurrent) ]))
+                                   ("ppsfp", Fsim.Coverage.Parallel) ]))
            None
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"serial, ppsfp, deductive or concurrent (default ppsfp).  \
+             ~doc:"serial or ppsfp (default ppsfp).  \
                    Conflicts with $(b,--domains), which selects the \
                    multicore par engine.")
   in
@@ -539,10 +537,13 @@ let fsim_cmd =
                        [ string_of_int k; Printf.sprintf "%.6f" f ]))))
       | Some cs ->
         let ncurve = Fsim.Coverage.curve (Fsim.Coverage.n_detect_profile cs) in
+        (* A cancelled run stops the two gradings at different prefixes;
+           print only the patterns both graded. *)
+        let graded = min (Array.length curve) (Array.length ncurve) in
         print_string
           (Report.Csv.of_rows
              ([ "patterns"; "coverage"; "ndetect_coverage" ]
-             :: (Array.to_list curve
+             :: (Array.to_list (Array.sub curve 0 graded)
                 |> List.mapi (fun i (k, f) ->
                        [ string_of_int k;
                          Printf.sprintf "%.6f" f;

@@ -1,4 +1,4 @@
-type engine = Serial | Parallel | Deductive | Concurrent | Par of { domains : int }
+type engine = Serial | Parallel | Par of { domains : int }
 
 type profile = {
   universe_size : int;
@@ -6,42 +6,30 @@ type profile = {
   first_detection : int option array;
 }
 
-let profile ?(engine = Parallel) ?cancel c faults patterns =
-  let first_detection =
-    match engine with
-    | Serial -> Serial.run ?cancel c faults patterns
-    | Parallel -> Ppsfp.run ?cancel c faults patterns
-    | Deductive -> Deductive.run c faults patterns
-    | Concurrent -> Concurrent.run c faults patterns
-    | Par { domains } -> Par.run ?cancel ~domains c faults patterns
-  in
-  { universe_size = Array.length faults;
-    pattern_count = Array.length patterns;
-    first_detection }
-
 type counts = {
   require : int;
   detections : int array;
   nth_profile : profile;
 }
 
-let detection_counts ?(engine = Parallel) ?cancel ~n c faults patterns =
-  let detections, nth_detection =
+let grade ?(engine = Parallel) ?cancel ?n c faults patterns =
+  let g =
     match engine with
-    | Serial -> Serial.run_counts ?cancel ~n c faults patterns
-    | Parallel | Deductive | Concurrent ->
-      (* The deductive and concurrent engines have no drop-after-n
-         kernel; all engines produce identical detection sets, so they
-         fall back to the PPSFP kernel. *)
-      Ppsfp.run_counts ?cancel ~n c faults patterns
-    | Par { domains } -> Par.run_counts ?cancel ~domains ~n c faults patterns
+    | Serial -> Serial.grade ?cancel ?n c faults patterns
+    | Parallel -> Ppsfp.grade ?cancel ?n c faults patterns
+    | Par { domains } -> Par.grade ?cancel ~domains ?n c faults patterns
   in
-  { require = n;
-    detections;
-    nth_profile =
-      { universe_size = Array.length faults;
-        pattern_count = Array.length patterns;
-        first_detection = nth_detection } }
+  ( g.Ppsfp.detections,
+    { universe_size = Array.length faults;
+      pattern_count = g.Ppsfp.graded;
+      first_detection = g.Ppsfp.nth } )
+
+let profile ?engine ?cancel c faults patterns =
+  snd (grade ?engine ?cancel c faults patterns)
+
+let detection_counts ?engine ?cancel ~n c faults patterns =
+  let detections, nth_profile = grade ?engine ?cancel ~n c faults patterns in
+  { require = n; detections; nth_profile }
 
 let n_detect_profile cs = cs.nth_profile
 

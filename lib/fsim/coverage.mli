@@ -9,8 +9,6 @@
 type engine =
   | Serial
   | Parallel
-  | Deductive
-  | Concurrent
   | Par of { domains : int }
       (** Multicore PPSFP ({!Par.run}): fault universe sharded across
           [domains] OCaml domains, results bit-identical to
@@ -18,7 +16,9 @@ type engine =
 
 type profile = {
   universe_size : int;                (** Faults simulated. *)
-  pattern_count : int;                (** Patterns applied. *)
+  pattern_count : int;
+      (** Patterns graded: all of them, or on a cancelled run the
+          prefix graded before the token fired. *)
   first_detection : int option array; (** Per fault, first detecting pattern. *)
 }
 
@@ -26,11 +26,11 @@ val profile :
   ?engine:engine ->
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> profile
-(** Run fault simulation (default {!Parallel}; {!Serial} and
-    {!Deductive} give identical results at different costs) and package
-    the result.  [cancel] reaches the block loops of {!Serial},
-    {!Parallel} and {!Par} (the deductive/concurrent reference engines
-    ignore it); a cancelled run returns the partial profile. *)
+(** Run fault simulation (default {!Parallel}; every engine gives
+    identical results at different costs) and package the result.
+    [cancel] reaches the engine's block loop; a cancelled run returns
+    the profile of the graded prefix, so {!curve} stops where grading
+    stopped. *)
 
 type counts = {
   require : int;
@@ -54,13 +54,12 @@ val detection_counts :
   ?cancel:Robust.Cancel.t ->
   n:int ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> counts
-(** Run n-detection fault simulation.  {!Serial}, {!Parallel} and
-    {!Par} use their native drop-after-n kernels ({!Serial.run_counts},
-    {!Ppsfp.run_counts}, {!Par.run_counts}); {!Deductive} and
-    {!Concurrent} fall back to the PPSFP kernel (all engines agree on
-    detection sets).  With [n = 1], [nth_detection] is bit-identical to
-    the {!profile}'s [first_detection] on every engine.  Raises
-    [Invalid_argument] when [n < 1]. *)
+(** Run n-detection fault simulation through the engine's
+    drop-after-n block loop ({!Serial.grade}, {!Ppsfp.grade},
+    {!Par.grade}).  With [n = 1], [nth_detection] is bit-identical to
+    the {!profile}'s [first_detection] on every engine.  [cancel]
+    behaves as in {!profile}.  Raises [Invalid_argument] when
+    [n < 1]. *)
 
 val n_detect_profile : counts -> profile
 (** [nth_profile], as a function: the n-detection result as an

@@ -27,3 +27,13 @@ let count_fault_evals ~engine n =
     if Obs.Metrics.enabled () then
       Obs.Metrics.incr ~by:(float_of_int n) ("fsim." ^ engine ^ ".fault_evals")
   end
+
+let grading_run ~name ?n ~faults ~patterns f =
+  match n with
+  | None -> engine_run ~engine:name ~faults ~patterns (fun () -> f ~engine:name ~n:1)
+  | Some n ->
+    if n < 1 then invalid_arg (Printf.sprintf "%s: n must be >= 1" name);
+    let engine = "ndetect." ^ name in
+    engine_run ~engine ~faults ~patterns (fun () ->
+        Obs.Trace.add_int "n" n;
+        f ~engine ~n)

@@ -17,6 +17,19 @@ val engine_run :
 (** [engine_run ~engine ~faults ~patterns f] runs [f] inside the
     engine's span and records the run-level metrics. *)
 
+val grading_run :
+  name:string ->
+  ?n:int ->
+  faults:int ->
+  patterns:int ->
+  (engine:string -> n:int -> 'a) ->
+  'a
+(** [grading_run ~name ?n ~faults ~patterns f] is {!engine_run} for one
+    grading job of engine [name]: without [n] (first detection) under
+    the engine name itself and with [f ~n:1]; with [n] (n-detection)
+    under ["ndetect.<name>"], annotated with [n].  [f] receives the
+    label to report under.  Raises [Invalid_argument] when [n < 1]. *)
+
 val progress_start : engine:string -> patterns:int -> Obs.Progress.t
 (** Progress task labelled ["fsim.<engine>"] over [patterns] items;
     the engines step it once per 64-pattern block (per shard for the

@@ -167,12 +167,12 @@ let nth_set_bit w k =
   if !w = 0L then invalid_arg "nth_set_bit: fewer than k set bits";
   lowest_set_bit !w
 
-(* Drop-after-n bookkeeping shared by all n-detection engines: fold the
+(* Drop-after-n bookkeeping shared by the block loops: fold the
    detection mask of fault [fi] on one block into its running count and
    report whether the fault stays alive.  The count saturates at [n]
    and the index of the n-th detecting pattern is recorded exactly
-   once; with [n = 1] the recorded index is [lowest_set_bit mask], i.e.
-   bit-identical to the first-detection engines. *)
+   once; with [n = 1] the recorded index is [lowest_set_bit mask], the
+   first detection. *)
 let record_detections ~n ~block_start ~detections ~nth mask fi =
   if mask = 0L then true
   else begin
@@ -189,94 +189,87 @@ let record_detections ~n ~block_start ~detections ~nth mask fi =
     end
   end
 
-let run_general ?(cancel = Robust.Cancel.none) c faults patterns ~on_block =
-  Instrument.engine_run ~engine:"ppsfp" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
+type block = {
+  block_start : int;
+  patterns : int;
+  live : int64;
+  good : unit -> int64 array;
+}
+
+let blocks ?(presimulate = false) c patterns =
+  let start = ref 0 in
+  List.map
+    (fun b ->
+      let good =
+        if presimulate then Fun.const (Logicsim.Packed.eval_block c b)
+        else fun () -> Logicsim.Packed.eval_block c b
+      in
+      let block =
+        { block_start = !start; patterns = b.Logicsim.Packed.pattern_count;
+          live = Logicsim.Packed.live_mask b; good }
+      in
+      start := !start + block.patterns;
+      block)
+    (Logicsim.Packed.blocks_of_patterns c patterns)
+
+type grading = {
+  detections : int array;
+  nth : int option array;
+  graded : int;
+}
+
+(* The one propagation block loop: drop-after-n over faults [lo, hi).
+   The good machine of a block is simulated only while faults of the
+   range are alive, and the cancel token is polled at the same point;
+   once it fires, no later block is graded, so the returned count is an
+   exact prefix. *)
+let grade_range ~engine ~n ~cancel ~progress c faults blocks ~detections ~nth
+    lo hi =
   let st = make_state c in
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ppsfp" ~patterns:(Array.length patterns)
-  in
-  let results = Array.make (Array.length faults) None in
-  let alive = ref (List.init (Array.length faults) (fun i -> i)) in
-  let detected = ref 0 in
-  let block_start = ref 0 in
+  let alive = ref (List.init (hi - lo) (fun i -> lo + i)) in
+  let graded = ref 0 in
+  let stopped = ref false in
   List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ppsfp" (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let live = Logicsim.Packed.live_mask block in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = propagate st good ~live faults.(fi) in
-            if mask = 0L then survivors := fi :: !survivors
-            else begin
-              results.(fi) <- Some (!block_start + lowest_set_bit mask);
-              incr detected
-            end)
-          !alive;
-        alive := List.rev !survivors
+    (fun b ->
+      if !alive <> [] && not !stopped then begin
+        if Robust.Cancel.stop_requested cancel then stopped := true
+        else begin
+          if Instrument.observing () then
+            Instrument.count_fault_evals ~engine (List.length !alive);
+          let good = b.good () in
+          alive :=
+            List.filter
+              (fun fi ->
+                record_detections ~n ~block_start:b.block_start ~detections
+                  ~nth (propagate st good ~live:b.live faults.(fi)) fi)
+              !alive
+        end
       end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count;
-      on_block ~patterns_applied:!block_start ~detected:!detected)
+      if not !stopped then graded := !graded + b.patterns;
+      Obs.Progress.step progress b.patterns)
     blocks;
-  Obs.Progress.finish progress;
-  results
+  !graded
 
-let run ?cancel c faults patterns =
-  run_general ?cancel c faults patterns
-    ~on_block:(fun ~patterns_applied:_ ~detected:_ -> ())
-
-let run_curve c faults patterns =
-  let checkpoints = ref [] in
-  let results =
-    run_general c faults patterns ~on_block:(fun ~patterns_applied ~detected ->
-        checkpoints := (patterns_applied, detected) :: !checkpoints)
-  in
-  (results, List.rev !checkpoints)
-
-let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
-  if n < 1 then invalid_arg "Ppsfp.run_counts: n must be >= 1";
-  Instrument.engine_run ~engine:"ndetect.ppsfp" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  Obs.Trace.add_int "n" n;
-  let st = make_state c in
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ndetect.ppsfp"
-      ~patterns:(Array.length patterns)
-  in
+let grade ?(cancel = Robust.Cancel.none) ?n c faults patterns =
   let nf = Array.length faults in
+  Instrument.grading_run ~name:"ppsfp" ?n ~faults:nf
+    ~patterns:(Array.length patterns)
+  @@ fun ~engine ~n ->
+  let blocks = blocks c patterns in
+  let progress =
+    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
+  in
   let detections = Array.make nf 0 in
   let nth = Array.make nf None in
-  let alive = ref (List.init nf Fun.id) in
-  let block_start = ref 0 in
-  List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ndetect.ppsfp"
-            (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let live = Logicsim.Packed.live_mask block in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = propagate st good ~live faults.(fi) in
-            if record_detections ~n ~block_start:!block_start ~detections ~nth
-                 mask fi
-            then survivors := fi :: !survivors)
-          !alive;
-        alive := List.rev !survivors
-      end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
-    blocks;
+  let graded =
+    grade_range ~engine ~n ~cancel ~progress c faults blocks ~detections ~nth
+      0 nf
+  in
   Obs.Progress.finish progress;
-  (detections, nth)
+  { detections; nth; graded }
+
+let run ?cancel c faults patterns = (grade ?cancel c faults patterns).nth
+
+let run_counts ?cancel ~n c faults patterns =
+  let g = grade ?cancel ~n c faults patterns in
+  (g.detections, g.nth)

@@ -3,36 +3,91 @@
     For each 64-pattern block the good machine is simulated once; each
     live fault is then propagated only through its fanout cone, level by
     level, with copy-on-write faulty values.  A fault whose effect dies
-    out is abandoned early, and detected faults are dropped.  Produces
-    byte-identical results to {!Serial.run} (differential-tested), at a
-    fraction of the cost on large circuits. *)
+    out is abandoned early, and dropped faults skip later blocks.  One
+    block loop ({!grade_range}) serves first detection, n-detection and
+    every {!Par} shard; results are byte-identical to {!Serial}
+    (differential-tested), at a fraction of the cost on large
+    circuits. *)
+
+type grading = {
+  detections : int array;
+      (** Per fault, detecting patterns seen, saturated at [n]. *)
+  nth : int option array;
+      (** Per fault, index of the [n]-th detecting pattern ([None] when
+          fewer than [n] graded patterns detect it). *)
+  graded : int;
+      (** Patterns graded: the full count, or on a cancelled run the
+          prefix graded before the token fired.  Every recorded index
+          lies below it. *)
+}
+(** Result of one grading job with the drop-after-n policy: a fault
+    leaves the simulation once [n] patterns have detected it.  With
+    [n = 1], [nth] is the first-detection array. *)
+
+val grade :
+  ?cancel:Robust.Cancel.t ->
+  ?n:int ->
+  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> grading
+(** Grade every fault.  Without [n], first detection (reported as
+    engine ["ppsfp"]); with [n], n-detection (["ndetect.ppsfp"]).
+    [cancel] is polled per 64-pattern block; after it fires no further
+    block is graded.  Raises [Invalid_argument] when [n < 1]. *)
 
 val run :
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> int option array
-(** Same contract as {!Serial.run}: per fault, first detecting pattern
-    index, with fault dropping.  [cancel] is polled per 64-pattern
-    block; see {!Serial.run} for the partial-result contract. *)
+(** [nth] of {!grade} without [n]: same contract as {!Serial.run}, per
+    fault the first detecting pattern index, with fault dropping. *)
 
-(** {2 Propagation core}
+val run_counts :
+  ?cancel:Robust.Cancel.t ->
+  n:int ->
+  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
+  int array * int option array
+(** [(detections, nth)] of {!grade} with [n].  With [n = 1] the result
+    is bit-identical to {!run}: [nth] equals the first-detection array
+    and [detections] is its indicator.  Raises [Invalid_argument] when
+    [n < 1]. *)
 
-    The single-fault propagation machinery is exposed so that {!Par}
-    can run the identical copy-on-write cone walk from several domains,
-    each with its own [state], over a shared read-only good-value
-    block. *)
+(** {2 The block kernel}
 
-type state
-(** Per-simulation scratch (copy-on-write faulty values, schedule
-    buckets).  Not thread-safe: one [state] per domain. *)
+    Exposed so that {!Par} runs the identical loop from several
+    domains, each over its own fault range, against good-machine blocks
+    simulated once and shared read-only. *)
 
-val make_state : Circuit.Netlist.t -> state
+type block = {
+  block_start : int;            (** Pattern index of bit 0. *)
+  patterns : int;               (** Live patterns in the block. *)
+  live : int64;                 (** Mask of the live patterns. *)
+  good : unit -> int64 array;   (** Good-machine node values. *)
+}
 
-val propagate :
-  state -> int64 array -> live:int64 -> Faults.Fault.t -> int64
-(** [propagate st good ~live fault] walks the fault's fanout cone over
-    one 64-pattern block whose good-machine node values are [good], and
-    returns the mask of patterns (within [live]) on which some primary
-    output diverges. *)
+val blocks :
+  ?presimulate:bool -> Circuit.Netlist.t -> bool array array -> block list
+(** The pattern set as 64-pattern blocks, in order.  By default [good]
+    simulates the block on every call and keeps nothing alive; with
+    [~presimulate:true] every block is simulated up front and [good]
+    returns the stored values, which makes the list safe to share
+    between domains. *)
+
+val grade_range :
+  engine:string ->
+  n:int ->
+  cancel:Robust.Cancel.t ->
+  progress:Obs.Progress.t ->
+  Circuit.Netlist.t ->
+  Faults.Fault.t array ->
+  block list ->
+  detections:int array ->
+  nth:int option array ->
+  int -> int -> int
+(** [grade_range ... blocks ~detections ~nth lo hi] grades faults
+    [lo, hi) with the drop-after-n policy, writing only their slots of
+    [detections]/[nth], and returns the number of patterns graded (a
+    block prefix; short of the total only when [cancel] fired).  Fault
+    evaluations count under [engine]; [progress] steps once per block.
+    A block's [good] is called only while faults of the range are
+    alive. *)
 
 val lowest_set_bit : int64 -> int
 (** Index of the lowest set bit (constant time; raises
@@ -53,34 +108,9 @@ val record_detections :
   detections:int array ->
   nth:int option array ->
   int64 -> int -> bool
-(** Drop-after-n bookkeeping shared by the n-detection engines: fold
-    the detection [mask] of fault [fi] on the block starting at pattern
+(** Drop-after-n bookkeeping shared by the block loops: fold the
+    detection [mask] of fault [fi] on the block starting at pattern
     [block_start] into [detections.(fi)] (saturating at [n]), record
     the n-th detecting pattern index in [nth.(fi)] when the count
     reaches [n], and return whether the fault stays alive (i.e. still
     needs detections). *)
-
-val run_curve :
-  Circuit.Netlist.t ->
-  Faults.Fault.t array ->
-  bool array array ->
-  int option array * (int * int) list
-(** Like {!run} but also returns the cumulative detection counts as
-    [(patterns_applied, faults_detected)] checkpoints after every block
-    — the "cumulative fault coverage as a function of the number of test
-    patterns" the paper's Section 5 procedure asks the fault simulator
-    for. *)
-
-val run_counts :
-  ?cancel:Robust.Cancel.t ->
-  n:int ->
-  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
-  int array * int option array
-(** n-detection grading with the drop-after-n policy: per fault, count
-    detecting patterns until [n] of them have been seen, then drop the
-    fault.  Returns [(detections, nth)]: the per-fault detection count
-    saturated at [n], and the index of the [n]-th detecting pattern
-    ([None] when fewer than [n] patterns detect the fault).  With
-    [n = 1] the result is bit-identical to {!run}: [nth] equals the
-    first-detection array and [detections] is its indicator.  Raises
-    [Invalid_argument] when [n < 1]. *)

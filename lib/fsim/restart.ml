@@ -23,8 +23,6 @@ let segment_failpoint = "fsim.restart.segment"
 let engine_tag = function
   | Coverage.Serial -> "serial"
   | Coverage.Parallel -> "ppsfp"
-  | Coverage.Deductive -> "deductive"
-  | Coverage.Concurrent -> "concurrent"
   (* Par results are bit-identical for every domain count, so the
      domain count is not part of the checkpoint identity: a run may be
      resumed with a different [--domains]. *)
@@ -144,7 +142,7 @@ let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
     if Obs.Metrics.enabled () then
       Obs.Metrics.incr ~by:(float_of_int !segments) "fsim.restart.segments";
     Ok
-      { profile = { Coverage.universe_size = nf; pattern_count = np;
+      { profile = { Coverage.universe_size = nf; pattern_count = !pos;
                     first_detection };
         patterns_done = !pos;
         resumed_from;

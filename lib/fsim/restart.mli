@@ -16,8 +16,8 @@
 
 type outcome = {
   profile : Coverage.profile;
-      (** [pattern_count] is the full request; when [completed] is
-          false only the first [patterns_done] patterns were graded. *)
+      (** [pattern_count] is [patterns_done]: the full request when
+          [completed], else the prefix graded before cancellation. *)
   patterns_done : int;
   resumed_from : int;  (** 0 on a fresh run *)
   completed : bool;

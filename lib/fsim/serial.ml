@@ -63,83 +63,52 @@ let detect_word c ~good_outputs fault block =
     c.Circuit.Netlist.outputs;
   Int64.logand !diff mask
 
-let lowest_set_bit w =
-  if w = 0L then invalid_arg "lowest_set_bit: zero word";
-  let rec loop i = if Logicsim.Packed.bit w i then i else loop (i + 1) in
-  loop 0
-
-let run ?(cancel = Robust.Cancel.none) c faults patterns =
-  Instrument.engine_run ~engine:"serial" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"serial" ~patterns:(Array.length patterns)
-  in
-  let results = Array.make (Array.length faults) None in
-  let alive = ref (List.init (Array.length faults) (fun i -> i)) in
-  let block_start = ref 0 in
-  List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"serial" (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let good_outputs = Logicsim.Packed.output_words c good in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = detect_word c ~good_outputs faults.(fi) block in
-            if mask = 0L then survivors := fi :: !survivors
-            else results.(fi) <- Some (!block_start + lowest_set_bit mask))
-          !alive;
-        alive := List.rev !survivors
-      end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
-    blocks;
-  Obs.Progress.finish progress;
-  results
-
-let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
-  if n < 1 then invalid_arg "Serial.run_counts: n must be >= 1";
-  Instrument.engine_run ~engine:"ndetect.serial" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  Obs.Trace.add_int "n" n;
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ndetect.serial"
-      ~patterns:(Array.length patterns)
-  in
+let grade ?(cancel = Robust.Cancel.none) ?n c faults patterns =
   let nf = Array.length faults in
+  Instrument.grading_run ~name:"serial" ?n ~faults:nf
+    ~patterns:(Array.length patterns)
+  @@ fun ~engine ~n ->
+  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
+  let progress =
+    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
+  in
   let detections = Array.make nf 0 in
   let nth = Array.make nf None in
   let alive = ref (List.init nf Fun.id) in
   let block_start = ref 0 in
+  let graded = ref 0 in
+  let stopped = ref false in
   List.iter
     (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ndetect.serial"
-            (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let good_outputs = Logicsim.Packed.output_words c good in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = detect_word c ~good_outputs faults.(fi) block in
-            if Ppsfp.record_detections ~n ~block_start:!block_start ~detections
-                 ~nth mask fi
-            then survivors := fi :: !survivors)
-          !alive;
-        alive := List.rev !survivors
+      if !alive <> [] && not !stopped then begin
+        if Robust.Cancel.stop_requested cancel then stopped := true
+        else begin
+          if Instrument.observing () then
+            Instrument.count_fault_evals ~engine (List.length !alive);
+          let good = Logicsim.Packed.eval_block c block in
+          let good_outputs = Logicsim.Packed.output_words c good in
+          alive :=
+            List.filter
+              (fun fi ->
+                Ppsfp.record_detections ~n ~block_start:!block_start
+                  ~detections ~nth
+                  (detect_word c ~good_outputs faults.(fi) block)
+                  fi)
+              !alive
+        end
       end;
       block_start := !block_start + block.Logicsim.Packed.pattern_count;
+      if not !stopped then graded := !block_start;
       Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
     blocks;
   Obs.Progress.finish progress;
-  (detections, nth)
+  { Ppsfp.detections; nth; graded = !graded }
+
+let run ?cancel c faults patterns = (grade ?cancel c faults patterns).Ppsfp.nth
+
+let run_counts ?cancel ~n c faults patterns =
+  let g = grade ?cancel ~n c faults patterns in
+  (g.Ppsfp.detections, g.Ppsfp.nth)
 
 (* Multiple-fault injection: per-line AND/OR masks.  A stuck-at-0 clears
    the line's word (and_mask = 0), a stuck-at-1 sets it (or_mask = -1);
@@ -237,6 +206,6 @@ let first_fail_with_fault_set c faults patterns =
       let diff = Int64.logand !diff mask in
       if diff = 0L then
         scan (block_start + block.Logicsim.Packed.pattern_count) rest
-      else Some (block_start + lowest_set_bit diff)
+      else Some (block_start + Ppsfp.lowest_set_bit diff)
   in
   scan 0 blocks

@@ -20,26 +20,36 @@ val detect_word :
     least one primary output of the faulty machine differs from
     [good_outputs]. *)
 
+val grade :
+  ?cancel:Robust.Cancel.t ->
+  ?n:int ->
+  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
+  Ppsfp.grading
+(** The oracle's one block loop: same contract as {!Ppsfp.grade}
+    (drop-after-n, first detection without [n]), with every fault
+    re-simulated through the whole circuit by {!detect_word}.  Reports
+    as engine ["serial"] / ["ndetect.serial"].  Raises
+    [Invalid_argument] when [n < 1]. *)
+
 val run :
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> int option array
 (** [run c faults patterns] returns, for each fault, the index of the
-    first pattern that detects it ([None] = undetected).  Detected
-    faults are dropped from later blocks.  [cancel] is polled at every
-    64-pattern block boundary; after it fires the remaining blocks are
-    skipped, leaving a well-defined partial result (every recorded
-    detection is real; undetected may mean unsimulated). *)
+    first pattern that detects it ([None] = undetected): the [nth] of
+    {!grade} without [n].  Detected faults are dropped from later
+    blocks.  [cancel] is polled at every 64-pattern block boundary;
+    after it fires the remaining blocks are skipped, leaving a
+    well-defined partial result (every recorded detection is real;
+    undetected may mean unsimulated). *)
 
 val run_counts :
   ?cancel:Robust.Cancel.t ->
   n:int ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
   int array * int option array
-(** n-detection grading with the drop-after-n policy; same contract as
-    {!Ppsfp.run_counts} (per-fault detection count saturated at [n],
-    and the index of the [n]-th detecting pattern).  With [n = 1] the
-    result is bit-identical to {!run}.  Raises [Invalid_argument] when
-    [n < 1]. *)
+(** [(detections, nth)] of {!grade} with [n]; same contract as
+    {!Ppsfp.run_counts}.  With [n = 1] the result is bit-identical to
+    {!run}.  Raises [Invalid_argument] when [n < 1]. *)
 
 val eval_with_fault_set :
   Circuit.Netlist.t -> Faults.Fault.t array -> Logicsim.Packed.block -> int64 array

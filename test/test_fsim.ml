@@ -131,29 +131,6 @@ let test_coverage_after_consistent () =
         (Fsim.Coverage.coverage_after profile k))
     curve
 
-let test_run_curve_checkpoints () =
-  let c = Circuit.Generators.comparator ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:6 ~count:130 c in
-  let results, checkpoints = Fsim.Ppsfp.run_curve c universe patterns in
-  Alcotest.(check int) "3 blocks" 3 (List.length checkpoints);
-  let detected =
-    Array.fold_left (fun acc d -> if d <> None then acc + 1 else acc) 0 results
-  in
-  (match List.rev checkpoints with
-  | (patterns_applied, total) :: _ ->
-    Alcotest.(check int) "final total" detected total;
-    Alcotest.(check int) "all patterns applied" 130 patterns_applied
-  | [] -> Alcotest.fail "no checkpoints");
-  (* Checkpoints are cumulative and non-decreasing. *)
-  let rec check_monotone = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-      Alcotest.(check bool) "monotone" true (a <= b);
-      check_monotone rest
-    | [ _ ] | [] -> ()
-  in
-  check_monotone checkpoints
-
 let test_undetected_listing () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
@@ -163,76 +140,6 @@ let test_undetected_listing () =
   Alcotest.(check int) "count consistent"
     (Array.length universe - Fsim.Coverage.detected_count profile)
     (List.length missing)
-
-(* ----------------------------- deductive ---------------------------- *)
-
-let test_deductive_equals_serial_c17 () =
-  let c = Circuit.Generators.c17 () in
-  let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
-  Alcotest.(check bool) "identical results" true
-    (Fsim.Serial.run c universe patterns = Fsim.Deductive.run c universe patterns)
-
-let test_deductive_equals_serial_random () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
-      let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(seed * 3) ~count:80 c in
-      let serial = Fsim.Serial.run c universe patterns in
-      let deductive = Fsim.Deductive.run c universe patterns in
-      Array.iteri
-        (fun i a ->
-          if a <> deductive.(i) then
-            Alcotest.failf "deductive disagrees on %s (serial %s, deductive %s)"
-              (F.to_string c universe.(i))
-              (match a with Some k -> string_of_int k | None -> "-")
-              (match deductive.(i) with Some k -> string_of_int k | None -> "-"))
-        serial)
-    [ 5; 6; 7 ]
-
-let test_deductive_equals_serial_arithmetic () =
-  let c = Circuit.Generators.alu ~bits:3 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:17 ~count:64 c in
-  Alcotest.(check bool) "alu identical" true
-    (Fsim.Serial.run c universe patterns = Fsim.Deductive.run c universe patterns)
-
-let test_concurrent_equals_serial () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
-      let universe = Faults.Universe.all c in
-      let rng = Stats.Rng.create ~seed:(seed * 5) () in
-      let rand = Tpg.Random_tpg.uniform rng c ~count:70 in
-      let walk = Tpg.Random_tpg.random_walk rng c ~count:70 () in
-      List.iter
-        (fun patterns ->
-          Alcotest.(check bool) "concurrent = serial" true
-            (Fsim.Serial.run c universe patterns
-            = Fsim.Concurrent.run c universe patterns))
-        [ rand; walk ])
-    [ 8; 9; 10 ]
-
-let test_concurrent_dropping_across_patterns () =
-  (* Faults detected early must not be re-reported nor disturb later
-     detections, even though dead entries linger in unchanged cones. *)
-  let c = Circuit.Generators.alu ~bits:3 in
-  let universe = Faults.Universe.all c in
-  let rng = Stats.Rng.create ~seed:12 () in
-  let walk = Tpg.Random_tpg.random_walk rng c ~count:120 () in
-  let serial = Fsim.Serial.run c universe walk in
-  let concurrent = Fsim.Concurrent.run c universe walk in
-  Alcotest.(check bool) "identical with dropping" true (serial = concurrent)
-
-let test_deductive_via_coverage_engine () =
-  let c = Circuit.Generators.parity_tree ~bits:6 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:23 ~count:32 c in
-  let a = Fsim.Coverage.profile ~engine:Fsim.Coverage.Deductive c universe patterns in
-  let b = Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns in
-  Alcotest.(check bool) "profiles equal" true
-    (a.Fsim.Coverage.first_detection = b.Fsim.Coverage.first_detection)
 
 (* ----------------------------- multicore ---------------------------- *)
 
@@ -468,7 +375,7 @@ let test_ndetect_coverage_monotone_in_n () =
 
 let test_ndetect_via_coverage_engine () =
   (* Every engine choice must agree through the detection_counts
-     dispatcher, including the fall-back engines. *)
+     dispatcher. *)
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
   let patterns = random_patterns ~seed:23 ~count:50 c in
@@ -477,8 +384,7 @@ let test_ndetect_via_coverage_engine () =
     (fun engine ->
       Alcotest.(check bool) "counts equal" true
         (Fsim.Coverage.detection_counts ~engine ~n:3 c universe patterns = reference))
-    [ Fsim.Coverage.Serial; Fsim.Coverage.Parallel; Fsim.Coverage.Deductive;
-      Fsim.Coverage.Concurrent; Fsim.Coverage.Par { domains = 3 } ]
+    [ Fsim.Coverage.Serial; Fsim.Coverage.Parallel; Fsim.Coverage.Par { domains = 3 } ]
 
 let test_ndetect_invalid_n_rejected () =
   let c = Circuit.Generators.c17 () in
@@ -788,8 +694,8 @@ let qcheck_props =
         let patterns = random_patterns ~seed:(gates + 2) ~count:70 c in
         let serial = Fsim.Serial.run c universe patterns in
         serial = Fsim.Ppsfp.run c universe patterns
-        && serial = Fsim.Deductive.run c universe patterns
-        && serial = Fsim.Concurrent.run c universe patterns);
+        && serial = Fsim.Par.run ~domains:2 c universe patterns
+        && serial = snd (Fsim.Ppsfp.run_counts ~n:1 c universe patterns));
     Test.make ~count:15 ~name:"multi-fault first fail <= each member's (on chains it can differ)"
       (int_range 1 1000)
       (fun seed ->
@@ -827,15 +733,7 @@ let suite =
     ( "fsim.coverage",
       [ tc "curve is monotone" test_coverage_curve_monotone;
         tc "coverage_after = curve" test_coverage_after_consistent;
-        tc "run_curve checkpoints" test_run_curve_checkpoints;
         tc "undetected listing" test_undetected_listing ] );
-    ( "fsim.deductive",
-      [ tc "deductive = serial (c17 exhaustive)" test_deductive_equals_serial_c17;
-        tc "deductive = serial (random)" test_deductive_equals_serial_random;
-        tc "deductive = serial (alu)" test_deductive_equals_serial_arithmetic;
-        tc "coverage engine plumbing" test_deductive_via_coverage_engine;
-        tc "concurrent = serial (rand + walk)" test_concurrent_equals_serial;
-        tc "concurrent dropping across patterns" test_concurrent_dropping_across_patterns ] );
     ( "fsim.par",
       [ tc "par = ppsfp (c17 exhaustive)" test_par_equals_ppsfp_c17;
         tc "par = ppsfp (odd pattern counts)" test_par_equals_ppsfp_odd_pattern_counts;

@@ -260,14 +260,65 @@ let test_par_shard_fallback_recovers () =
     (Obs.Metrics.value "fsim.par.shard_fallbacks")
 
 let test_fsim_cancelled_partial_profile () =
+  (* A grading that never ran must not look complete: the profile
+     covers zero patterns, so the coverage curve is empty rather than a
+     full-length run of zeros. *)
   let c, universe, patterns = Lazy.force fsim_rig in
   let t = Robust.Cancel.create () in
   Robust.Cancel.cancel t;
-  let p = Fsim.Coverage.profile ~cancel:t c universe patterns in
-  Alcotest.(check int) "universe still sized" (Array.length universe)
-    p.Fsim.Coverage.universe_size;
-  Alcotest.(check bool) "pre-cancelled run grades nothing" true
-    (Array.for_all (fun d -> d = None) p.Fsim.Coverage.first_detection)
+  List.iter
+    (fun (name, engine) ->
+      let p = Fsim.Coverage.profile ~engine ~cancel:t c universe patterns in
+      Alcotest.(check int) (name ^ ": universe still sized") (Array.length universe)
+        p.Fsim.Coverage.universe_size;
+      Alcotest.(check bool) (name ^ ": pre-cancelled run grades nothing") true
+        (Array.for_all (fun d -> d = None) p.Fsim.Coverage.first_detection);
+      Alcotest.(check int) (name ^ ": no pattern graded") 0
+        p.Fsim.Coverage.pattern_count;
+      Alcotest.(check int) (name ^ ": empty curve") 0
+        (Array.length (Fsim.Coverage.curve p));
+      let cs = Fsim.Coverage.detection_counts ~engine ~cancel:t ~n:2 c universe patterns in
+      Alcotest.(check int) (name ^ ": no pattern n-graded") 0
+        (Fsim.Coverage.n_detect_profile cs).Fsim.Coverage.pattern_count)
+    [ ("serial", Fsim.Coverage.Serial); ("ppsfp", Fsim.Coverage.Parallel);
+      ("par", Fsim.Coverage.Par { domains = 2 }) ]
+
+let test_par_cancelled_midrun_keeps_common_prefix () =
+  (* Cancel from the progress printer after a few block steps, so the
+     two shards stop wherever the interleaving leaves them.  Whatever
+     the interleaving, the profile must be exactly the uncancelled one
+     cut at a block-aligned prefix that every shard graded. *)
+  let c = Circuit.Generators.random_circuit ~inputs:12 ~gates:300 ~outputs:6 ~seed:7 in
+  let universe = Faults.Universe.all c in
+  let patterns = random_patterns ~seed:8 ~count:640 c in
+  let full = Fsim.Coverage.profile c universe patterns in
+  let t = Robust.Cancel.create () in
+  let lines = ref 0 in
+  let printer _ =
+    incr lines;
+    if !lines = 3 then Robust.Cancel.cancel t
+  in
+  Obs.Progress.configure ~interval_s:0.0 ~printer:(Some printer) ();
+  Obs.Progress.set_enabled true;
+  let p =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Progress.set_enabled false;
+        Obs.Progress.configure ~interval_s:0.5 ~printer:None ())
+      (fun () ->
+        Fsim.Coverage.profile ~engine:(Fsim.Coverage.Par { domains = 2 })
+          ~cancel:t c universe patterns)
+  in
+  let k = p.Fsim.Coverage.pattern_count in
+  Alcotest.(check bool) "stopped before the end" true (k < Array.length patterns);
+  Alcotest.(check int) "block-aligned prefix" 0 (k mod 64);
+  Alcotest.(check bool) "full run cut at the prefix" true
+    (p.Fsim.Coverage.first_detection
+    = Array.map
+        (function Some i when i < k -> Some i | Some _ | None -> None)
+        full.Fsim.Coverage.first_detection);
+  Alcotest.(check int) "curve stops at the prefix" k
+    (Array.length (Fsim.Coverage.curve p))
 
 (* ------------------------------------------------------------------ *)
 (* PODEM / ATPG                                                        *)
@@ -546,7 +597,9 @@ let suite =
         tc "mismatched resume rejected" test_restart_mismatch_is_error;
         tc "par shard retry recovers" test_par_shard_retry_recovers;
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
-        tc "cancelled profile is empty prefix" test_fsim_cancelled_partial_profile ] );
+        tc "cancelled profile is empty prefix" test_fsim_cancelled_partial_profile;
+        tc "par cancelled mid-run keeps common prefix"
+          test_par_cancelled_midrun_keeps_common_prefix ] );
     ( "robust.atpg",
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
         tc "checkpoint resume bit-identical" test_atpg_checkpoint_resume_bit_identical;
