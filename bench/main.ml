@@ -1165,8 +1165,6 @@ let micro_tests () =
         (Staged.stage (fun () -> Logicsim.Refsim.eval circuit patterns.(0)));
       Test.make ~name:"podem-one-fault"
         (Staged.stage (fun () -> Tpg.Podem.generate circuit reps.(17)));
-      Test.make ~name:"implication-atpg-one-fault"
-        (Staged.stage (fun () -> Tpg.Implication_atpg.generate circuit reps.(17)));
       Test.make ~name:"podem-scoap-guided"
         (let scoap = Tpg.Scoap.analyze circuit in
          Staged.stage (fun () ->

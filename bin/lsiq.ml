@@ -591,9 +591,8 @@ let atpg_cmd =
   let use_analysis =
     Arg.(value & flag & info [ "use-analysis" ]
            ~doc:"Build the static implication & dominator engine once and \
-                 let PODEM use it: sound pre-search untestability \
-                 verdicts, unique sensitization, learned-implication \
-                 pruning.  Verdicts are unchanged; search effort shrinks.")
+                 let PODEM use it for sound pre-search untestability \
+                 verdicts: faults it proves untestable skip the search.")
   in
   let learn_depth =
     Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"N"

@@ -1,11 +1,8 @@
-type engine = Podem_engine | Implication_engine
-
 type config = {
   random_budget : int;
   random_target : float;
   backtrack_limit : int;
   seed : int;
-  engine : engine;
   use_analysis : bool;
   learn_depth : int;
   exact_budget : int option;
@@ -16,7 +13,7 @@ type config = {
 
 let default_config =
   { random_budget = 512; random_target = 0.90; backtrack_limit = 2000; seed = 7;
-    engine = Podem_engine; use_analysis = false; learn_depth = 1;
+    use_analysis = false; learn_depth = 1;
     exact_budget = None; hybrid = false; resistant_threshold = 0.01;
     podem_time_budget_s = None }
 
@@ -53,11 +50,9 @@ let ckpt_fields config c faults =
     ("random_budget", Report.Json.Int config.random_budget);
     ("random_target", Report.Json.Float config.random_target);
     ("backtrack_limit", Report.Json.Int config.backtrack_limit);
-    ("engine",
-     Report.Json.String
-       (match config.engine with
-       | Podem_engine -> "podem"
-       | Implication_engine -> "implication"));
+    (* Names the search behind the saved verdicts, so a checkpoint
+       written by a different test generator is refused, not spliced. *)
+    ("generator", Report.Json.String "podem-bidirectional");
     ("use_analysis", Report.Json.Bool config.use_analysis);
     ("learn_depth", Report.Json.Int config.learn_depth);
     ("exact_budget", opt_int config.exact_budget);
@@ -155,12 +150,9 @@ let rec drop n l =
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
   Obs.Trace.with_span "atpg.run" @@ fun () ->
-  let want_exact = config.exact_budget <> None && config.engine = Podem_engine in
+  let want_exact = config.exact_budget <> None in
   let analysis =
-    if
-      (config.use_analysis && config.engine = Podem_engine)
-      || config.hybrid || want_exact
-    then
+    if config.use_analysis || config.hybrid || want_exact then
       Some
         (Analysis.Engine.build
            ~learn_depth:
@@ -309,28 +301,13 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
         deterministic ()
       end
       else begin
-        let verdict =
-          match config.engine with
-          | Podem_engine ->
-            (match
-               Podem.generate ~backtrack_limit:config.backtrack_limit
-                 ?time_budget_s:config.podem_time_budget_s ~cancel
-                 ?analysis:podem_analysis c faults.(target)
-             with
-            | Podem.Test pattern, _ -> `Test pattern
-            | Podem.Untestable, _ -> `Untestable
-            | Podem.Aborted, _ -> `Aborted)
-          | Implication_engine ->
-            (match
-               Implication_atpg.generate ~backtrack_limit:config.backtrack_limit c
-                 faults.(target)
-             with
-            | Implication_atpg.Test pattern, _ -> `Test pattern
-            | Implication_atpg.Untestable, _ -> `Untestable
-            | Implication_atpg.Aborted, _ -> `Aborted)
+        let verdict, _ =
+          Podem.generate ~backtrack_limit:config.backtrack_limit
+            ?time_budget_s:config.podem_time_budget_s ~cancel
+            ?analysis:podem_analysis c faults.(target)
         in
         match verdict with
-        | `Aborted when Robust.Cancel.stop_requested cancel ->
+        | Podem.Aborted when Robust.Cancel.stop_requested cancel ->
           (* The cancel token fired mid-search, so this [Aborted] is not
              a real per-fault verdict: leave the target in [remaining]
              so it is reported as unknown and retried on resume. *)
@@ -340,9 +317,9 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
           incr processed;
           Obs.Progress.step progress 1;
           (match verdict with
-          | `Untestable -> incr untestable
-          | `Aborted -> incr aborted
-          | `Test pattern ->
+          | Podem.Untestable -> incr untestable
+          | Podem.Aborted -> incr aborted
+          | Podem.Test pattern ->
             let pattern_index = base + !extra_count in
             extra := pattern :: !extra;
             incr extra_count;

@@ -4,23 +4,230 @@ type stats = { backtracks : int; implications : int }
 
 type guidance = Level_based | Scoap_based of Scoap.t
 
-type decision = {
-  input_index : int;
-  mutable value : Logic5.t3;
-  mutable flipped : bool;
-}
+(* One machine's value on a line.  The search keeps two planes of
+   these — the good machine and the faulty machine — and a line carries
+   the fault effect when both are defined and differ. *)
+type t3 = Unknown | Zero | One
 
+let t3_of_bool b = if b then One else Zero
+
+let negate = function Unknown -> Unknown | Zero -> One | One -> Zero
+
+type plane = Good | Faulty
+
+exception Conflict
 exception Abort_search
 
-let stuck_t3 polarity =
-  match polarity with Faults.Fault.Stuck_at_0 -> Logic5.F | Faults.Fault.Stuck_at_1 -> Logic5.T
+type state = {
+  c : Circuit.Netlist.t;
+  stuck : t3;
+  stem : int;          (* faulted stem node, or -1 *)
+  branch_gate : int;   (* gate whose input pin is faulted, or -1 *)
+  branch_pin : int;
+  good : t3 array;
+  faulty : t3 array;
+  (* Assignments in order, for chronological backtracking; a value only
+     ever moves from Unknown to defined. *)
+  mutable trail : (plane * int) list;
+  queue : int Queue.t;  (* gates awaiting (re)implication *)
+  in_queue : bool array;
+  mutable implications : int;
+}
 
-(* The line the fault sits on, seen from the good machine: the stem node
-   for a stem fault, the driving node for a branch fault. *)
-let fault_line_driver (c : Circuit.Netlist.t) fault =
-  match fault.Faults.Fault.site with
-  | Faults.Fault.Stem v -> v
-  | Faults.Fault.Branch { gate; pin } -> c.fanins.(gate).(pin)
+let plane_values st = function Good -> st.good | Faulty -> st.faulty
+
+(* The value pin [k] of [gate] sees: a branch fault sitting right there
+   overrides the driver in the faulty machine. *)
+let pin st plane gate k =
+  if plane = Faulty && gate = st.branch_gate && k = st.branch_pin then st.stuck
+  else (plane_values st plane).(st.c.fanins.(gate).(k))
+
+(* A stem fault disconnects its node's faulty value from the node's
+   inputs: no implication crosses it in the faulty machine. *)
+let cut st plane node = plane = Faulty && node = st.stem
+
+let enqueue st gate =
+  if not st.in_queue.(gate) then begin
+    st.in_queue.(gate) <- true;
+    Queue.add gate st.queue
+  end
+
+let rec set st plane node v =
+  let values = plane_values st plane in
+  match values.(node) with
+  | Unknown ->
+    values.(node) <- v;
+    st.trail <- (plane, node) :: st.trail;
+    (* A changed line can imply its own gate's inputs (backward) and
+       every consumer (forward, and their other inputs backward). *)
+    enqueue st node;
+    Array.iter (enqueue st) st.c.fanouts.(node);
+    (* Both machines see the same primary inputs, except the faulty
+       value of a faulted input stem. *)
+    if st.c.kinds.(node) = Circuit.Gate.Input && node <> st.stem then
+      set st (match plane with Good -> Faulty | Faulty -> Good) node v
+  | existing -> if existing <> v then raise Conflict
+
+(* [ctl] is the controlling value of an AND/NAND/OR/NOR gate, [out] the
+   output it forces. *)
+let controlling kind =
+  let ctl = Circuit.Gate.controlling_value kind = Some true in
+  (t3_of_bool ctl, t3_of_bool (ctl <> Circuit.Gate.inverts kind))
+
+(* Three-valued forward evaluation of [gate] from its pin values. *)
+let eval st plane gate =
+  let arity = Array.length st.c.fanins.(gate) in
+  match st.c.kinds.(gate) with
+  | Circuit.Gate.Input -> (plane_values st plane).(gate)
+  | Circuit.Gate.Const0 -> Zero
+  | Circuit.Gate.Const1 -> One
+  | Circuit.Gate.Buf -> pin st plane gate 0
+  | Circuit.Gate.Not -> negate (pin st plane gate 0)
+  | (Circuit.Gate.And | Circuit.Gate.Nand | Circuit.Gate.Or | Circuit.Gate.Nor)
+    as kind ->
+    let ctl, forced = controlling kind in
+    let rec scan k unknown =
+      if k = arity then if unknown then Unknown else negate forced
+      else
+        match pin st plane gate k with
+        | Unknown -> scan (k + 1) true
+        | v -> if v = ctl then forced else scan (k + 1) unknown
+    in
+    scan 0 false
+  | (Circuit.Gate.Xor | Circuit.Gate.Xnor) as kind ->
+    let rec scan k parity =
+      if k = arity then t3_of_bool parity
+      else
+        match pin st plane gate k with
+        | Unknown -> Unknown
+        | One -> scan (k + 1) (not parity)
+        | Zero -> scan (k + 1) parity
+    in
+    scan 0 (kind = Circuit.Gate.Xnor)
+
+(* Backward implication: the input values a defined output forces. *)
+let imply_backward st plane gate out =
+  let srcs = st.c.fanins.(gate) in
+  let arity = Array.length srcs in
+  let force k v =
+    if not (plane = Faulty && gate = st.branch_gate && k = st.branch_pin) then
+      set st plane srcs.(k) v
+  in
+  let unknown_pins () =
+    List.filter (fun k -> pin st plane gate k = Unknown) (List.init arity Fun.id)
+  in
+  match st.c.kinds.(gate) with
+  | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> ()
+  | Circuit.Gate.Buf -> force 0 out
+  | Circuit.Gate.Not -> force 0 (negate out)
+  | (Circuit.Gate.And | Circuit.Gate.Nand | Circuit.Gate.Or | Circuit.Gate.Nor)
+    as kind ->
+    let ctl, forced = controlling kind in
+    if out <> forced then List.iter (fun k -> force k (negate ctl)) (unknown_pins ())
+    else if not (List.exists (fun k -> pin st plane gate k = ctl) (List.init arity Fun.id))
+    then begin
+      (* Some input must be controlling: forced when only one can be. *)
+      match unknown_pins () with
+      | [] -> raise Conflict
+      | [ k ] -> force k ctl
+      | _ :: _ :: _ -> ()
+    end
+  | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
+    (match unknown_pins () with
+    | [ k ] ->
+      (* The missing input is whatever makes the parity come out. *)
+      let parity = ref (out = One) in
+      for j = 0 to arity - 1 do
+        if pin st plane gate j = One then parity := not !parity
+      done;
+      if st.c.kinds.(gate) = Circuit.Gate.Xnor then parity := not !parity;
+      force k (t3_of_bool !parity)
+    | [] | _ :: _ :: _ -> ())
+
+let imply st plane gate =
+  if not (cut st plane gate || st.c.kinds.(gate) = Circuit.Gate.Input) then begin
+    let forward = eval st plane gate in
+    if forward <> Unknown then set st plane gate forward;
+    let out = (plane_values st plane).(gate) in
+    if out <> Unknown then imply_backward st plane gate out
+  end
+
+(* Run forward and backward implication to a fixpoint; raises
+   [Conflict] when the assignments so far are contradictory. *)
+let propagate st =
+  while not (Queue.is_empty st.queue) do
+    let gate = Queue.pop st.queue in
+    st.in_queue.(gate) <- false;
+    st.implications <- st.implications + 1;
+    imply st Good gate;
+    imply st Faulty gate
+  done
+
+(* Undo every assignment made since the trail was [mark]. *)
+let backtrack_to st mark =
+  while st.trail != mark do
+    match st.trail with
+    | (plane, node) :: rest ->
+      (plane_values st plane).(node) <- Unknown;
+      st.trail <- rest
+    | [] -> assert false
+  done;
+  Queue.iter (fun gate -> st.in_queue.(gate) <- false) st.queue;
+  Queue.clear st.queue
+
+let has_unknown st node = st.good.(node) = Unknown || st.faulty.(node) = Unknown
+
+let divergent g f = g <> Unknown && f <> Unknown && g <> f
+
+let po_divergent st =
+  Array.exists (fun po -> divergent st.good.(po) st.faulty.(po)) st.c.outputs
+
+(* D-frontier: gates not yet settled in both machines with the fault
+   effect on some input, in topological order. *)
+let d_frontier st =
+  let c = st.c in
+  Array.fold_right
+    (fun gate acc ->
+      let arity = Array.length c.fanins.(gate) in
+      let rec effect k =
+        k < arity && (divergent (pin st Good gate k) (pin st Faulty gate k) || effect (k + 1))
+      in
+      if arity > 0 && has_unknown st gate && effect 0 then gate :: acc else acc)
+    c.topo_order []
+
+(* Can the effect still reach a primary output through unsettled lines? *)
+let x_path_exists st frontier =
+  let c = st.c in
+  let visited = Array.make (Circuit.Netlist.num_nodes c) false in
+  let rec bfs = function
+    | [] -> false
+    | node :: rest ->
+      if visited.(node) then bfs rest
+      else begin
+        visited.(node) <- true;
+        Circuit.Netlist.is_output c node
+        || bfs
+             (Array.fold_left
+                (fun acc dst ->
+                  if (not visited.(dst)) && has_unknown st dst then dst :: acc else acc)
+                rest c.fanouts.(node))
+      end
+  in
+  bfs frontier
+
+(* J-frontier: the first gate with a defined output its inputs do not
+   yet imply.  With none left, every completion of the unassigned
+   inputs reproduces all defined values — the D-algorithm's
+   termination condition. *)
+let first_unjustified st =
+  let unjustified plane gate =
+    (not (cut st plane gate))
+    && (plane_values st plane).(gate) <> Unknown
+    && eval st plane gate = Unknown
+  in
+  Array.find_opt
+    (fun gate -> unjustified Good gate || unjustified Faulty gate)
+    st.c.topo_order
 
 let generate ?(backtrack_limit = 1000) ?time_budget_s
     ?(cancel = Robust.Cancel.none) ?(guidance = Level_based) ?analysis
@@ -34,343 +241,134 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      backtrack, both of which map to [Aborted] — a typed verdict, never
      an escaping exception. *)
   let deadline =
-    match time_budget_s with
-    | Some b -> Some (Obs.Clock.now_s () +. b)
-    | None -> None
+    Option.map (fun b -> Obs.Clock.now_s () +. b) time_budget_s
   in
-  let out_of_time () =
-    match deadline with
-    | Some d -> Obs.Clock.now_s () >= d
-    | None -> false
+  let should_stop () =
+    Robust.Cancel.stop_requested cancel
+    || match deadline with Some d -> Obs.Clock.now_s () >= d | None -> false
   in
-  let should_stop () = Robust.Cancel.stop_requested cancel || out_of_time () in
-  (* Cost of choosing [src] as the line to drive toward [value]; the
-     search is correct for any cost, guidance only shapes its order. *)
-  let choice_cost src value =
+  (* Cost of driving [src] toward [value]; the search is correct for any
+     cost, guidance only shapes its order. *)
+  let cost src value =
     match guidance with
-    | Level_based -> c.Circuit.Netlist.levels.(src)
+    | Level_based -> c.levels.(src)
     | Scoap_based scoap -> Scoap.cc scoap src value
   in
   let num_nodes = Circuit.Netlist.num_nodes c in
-  let num_inputs = Array.length c.inputs in
-  let input_position = Hashtbl.create num_inputs in
-  Array.iteri (fun i id -> Hashtbl.replace input_position id i) c.inputs;
-  let pi = Array.make num_inputs Logic5.U in
-  let values = Array.make num_nodes Logic5.x in
-  let stuck = stuck_t3 fault.Faults.Fault.polarity in
-  let implications = ref 0 in
-  let backtracks = ref 0 in
-  let pruned = ref 0 in
-  let implication_graph = Option.bind analysis Analysis.Engine.implication in
-
-  (* Fanout cone of the fault site: the nodes a fault effect can reach.
-     Unique sensitization must only constrain side inputs from {e
-     outside} this cone — an in-cone line may itself have to carry the
-     effect. *)
-  let site_cone =
-    lazy
-      (let cone = Array.make num_nodes false in
-       let rec go id =
-         if not cone.(id) then begin
-           cone.(id) <- true;
-           Array.iter go c.fanouts.(id)
-         end
-       in
-       go (Faults.Fault.site_node fault);
-       cone)
-  in
-
-  (* Can the objective [src = v] still be met under the current PI
-     assignment?  Good-machine values are monotone (a defined value
-     holds for every completion of the PIs), so a learned consequence of
-     [src = v] that contradicts a defined value rules the objective out.
-     Used only to order and filter objective candidates — never to
-     prune decisions — so verdicts cannot change. *)
-  let achievable src v =
-    match implication_graph with
-    | None -> true
-    | Some imp ->
-      (match Analysis.Implication.consequences imp src v with
-      | None -> false
-      | Some consequences ->
-        List.for_all
-          (fun (m, w) ->
-            match values.(m).Logic5.good with
-            | Logic5.U -> true
-            | Logic5.T -> w
-            | Logic5.F -> not w)
-          consequences)
-  in
-
-  (* Forward implication: recompute every node from the PI assignment,
-     injecting the fault's faulty-machine component at its site. *)
-  let imply () =
-    incr implications;
-    Array.iter
-      (fun id ->
-        let v =
-          match c.kinds.(id) with
-          | Circuit.Gate.Input ->
-            let p = pi.(Hashtbl.find input_position id) in
-            { Logic5.good = p; faulty = p }
-          | kind ->
-            let fanin_values = Array.map (fun src -> values.(src)) c.fanins.(id) in
-            (match fault.Faults.Fault.site with
-            | Faults.Fault.Branch { gate; pin } when gate = id ->
-              Logic5.eval_gate_with_pin kind fanin_values ~pin ~forced_faulty:stuck
-            | Faults.Fault.Branch _ | Faults.Fault.Stem _ ->
-              Logic5.eval_gate kind fanin_values)
-        in
-        let v =
-          match fault.Faults.Fault.site with
-          | Faults.Fault.Stem s when s = id -> { v with Logic5.faulty = stuck }
-          | Faults.Fault.Stem _ | Faults.Fault.Branch _ -> v
-        in
-        values.(id) <- v)
-      c.topo_order
-  in
-
-  let po_has_effect () =
-    Array.exists (fun id -> Logic5.is_fault_effect values.(id)) c.outputs
-  in
-
-  (* Whether the faulty line currently carries D/D'. *)
-  let fault_effect_value () =
+  let stuck_bit = Faults.Fault.polarity_bit fault.Faults.Fault.polarity in
+  (* [line] is the faulty line seen from the good machine: the stem
+     node, or the node driving the faulted pin. *)
+  let stem, branch_gate, branch_pin, line =
     match fault.Faults.Fault.site with
-    | Faults.Fault.Stem v -> values.(v)
-    | Faults.Fault.Branch { gate; pin } ->
-      let src = c.fanins.(gate).(pin) in
-      { Logic5.good = values.(src).Logic5.good; faulty = stuck }
+    | Faults.Fault.Stem v -> (v, -1, -1, v)
+    | Faults.Fault.Branch { gate; pin } -> (-1, gate, pin, c.fanins.(gate).(pin))
   in
-
-  (* D-frontier: gates with an X output and a fault effect on some input
-     (taking the branch injection into account). *)
-  let d_frontier () =
-    let frontier = ref [] in
-    Array.iter
-      (fun id ->
-        match c.kinds.(id) with
-        | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> ()
-        | Circuit.Gate.Buf | Circuit.Gate.Not | Circuit.Gate.And
-        | Circuit.Gate.Nand | Circuit.Gate.Or | Circuit.Gate.Nor
-        | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
-          if Logic5.has_unknown values.(id) then begin
-            let has_effect = ref false in
-            Array.iteri
-              (fun pin src ->
-                let v =
-                  match fault.Faults.Fault.site with
-                  | Faults.Fault.Branch { gate; pin = fp } when gate = id && fp = pin ->
-                    { Logic5.good = values.(src).Logic5.good; faulty = stuck }
-                  | Faults.Fault.Branch _ | Faults.Fault.Stem _ -> values.(src)
-                in
-                if Logic5.is_fault_effect v then has_effect := true)
-              c.fanins.(id);
-            if !has_effect then frontier := id :: !frontier
-          end)
-      c.topo_order;
-    List.rev !frontier
+  let st =
+    { c; stuck = t3_of_bool stuck_bit; stem; branch_gate; branch_pin;
+      good = Array.make num_nodes Unknown;
+      faulty = Array.make num_nodes Unknown;
+      trail = []; queue = Queue.create ();
+      in_queue = Array.make num_nodes false; implications = 0 }
   in
+  let backtracks = ref 0 in
 
-  (* Is some primary output reachable from the frontier through X nodes? *)
-  let x_path_exists frontier =
-    let visited = Array.make num_nodes false in
-    let rec bfs = function
-      | [] -> false
-      | id :: rest ->
-        if visited.(id) then bfs rest
-        else begin
-          visited.(id) <- true;
-          if Circuit.Netlist.is_output c id then true
-          else begin
-            let next =
-              Array.fold_left
-                (fun acc dst ->
-                  if (not visited.(dst)) && Logic5.has_unknown values.(dst) then dst :: acc
-                  else acc)
-                rest c.fanouts.(id)
-            in
-            bfs next
-          end
-        end
+  (* The unsettled fanin of [gate] cheapest to drive toward [value].
+     At an implication fixpoint every gate unsettled in some machine
+     has one (with all its pins defined it would have been evaluated),
+     and an unsettled primary input is unassigned, so the walks below
+     always end at a free input. *)
+  let cheapest_unknown gate value =
+    let best =
+      Array.fold_left
+        (fun best src ->
+          if not (has_unknown st src) then best
+          else if best >= 0 && cost best value <= cost src value then best
+          else src)
+        (-1) c.fanins.(gate)
     in
-    bfs frontier
+    assert (best >= 0);
+    best
   in
-
-  (* Choose the cheapest X input of [fanins] to drive toward [v],
-     preferring candidates the implication graph does not rule out;
-     falls back to an infeasible one (the decision search sorts it out)
-     so behaviour without analysis is unchanged. *)
-  let pick_x_input fanins v =
-    let best = ref None and fallback = ref None in
-    Array.iter
-      (fun src ->
-        if Logic5.has_unknown values.(src) then
-          if achievable src v then begin
-            match !best with
-            | None -> best := Some src
-            | Some cur -> if choice_cost src v < choice_cost cur v then best := Some src
-          end
-          else begin
-            incr pruned;
-            match !fallback with
-            | None -> fallback := Some src
-            | Some cur ->
-              if choice_cost src v < choice_cost cur v then fallback := Some src
-          end)
-      fanins;
-    match !best with Some _ as s -> s | None -> !fallback
+  (* Walk the objective [node = value] back to a free primary input
+     through unsettled lines. *)
+  let rec backtrace node value =
+    match c.kinds.(node) with
+    | Circuit.Gate.Input -> (node, value)
+    | kind ->
+      let value = value <> Circuit.Gate.inverts kind in
+      backtrace (cheapest_unknown node value) value
   in
-
-  (* Unique sensitization: whatever frontier gate carries the effect
-     onward, every detection path crosses the frontier's common
-     dominators, so their out-of-cone side inputs must settle at
-     non-controlling values — schedule the first one still at X. *)
-  let unique_sensitization frontier =
-    match analysis with
-    | None -> None
-    | Some a ->
-      let doms =
-        Analysis.Dominators.common_dominators (Analysis.Engine.dominators a)
-          frontier
-      in
-      let rec try_doms = function
-        | [] -> None
-        | d :: rest ->
-          (match Circuit.Gate.controlling_value c.kinds.(d) with
-          | None -> try_doms rest
-          | Some controlling ->
-            let v = not controlling in
-            let cone = Lazy.force site_cone in
-            let candidate = ref None in
-            Array.iter
-              (fun src ->
-                if
-                  (not cone.(src))
-                  && Logic5.has_unknown values.(src)
-                  && achievable src v
-                then
-                  match !candidate with
-                  | None -> candidate := Some src
-                  | Some cur ->
-                    if choice_cost src v < choice_cost cur v then
-                      candidate := Some src)
-              c.fanins.(d);
-            (match !candidate with
-            | Some src -> Some (src, v)
-            | None -> try_doms rest))
-      in
-      try_doms doms
-  in
-
-  (* Choose (node, boolean objective value). *)
-  let objective () =
-    let line = fault_line_driver c fault in
-    let activated = Logic5.is_fault_effect (fault_effect_value ()) in
-    if not activated then Some (line, stuck = Logic5.F)
-      (* Drive the line to the complement of the stuck value. *)
-    else begin
-      match d_frontier () with
-      | [] -> None
-      | frontier ->
-        (match unique_sensitization frontier with
-        | Some objective -> Some objective
-        | None ->
-          (* Lowest-level frontier gate first: shortest remaining path. *)
-          let gate =
-            List.fold_left
-              (fun best g -> if c.levels.(g) < c.levels.(best) then g else best)
-              (List.hd frontier) frontier
-          in
-          let v =
-            match Circuit.Gate.controlling_value c.kinds.(gate) with
-            | Some controlling -> not controlling (* non-controlling value *)
-            | None -> false
-          in
-          (match pick_x_input c.fanins.(gate) v with
-          | None -> None
-          | Some src -> Some (src, v)))
-    end
-  in
-
-  (* Walk the objective back to a primary input through X lines. *)
-  let backtrace node value =
-    let rec walk node value =
-      match c.kinds.(node) with
-      | Circuit.Gate.Input -> Some (Hashtbl.find input_position node, value)
-      | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> None
-      | kind ->
-        let value = if Circuit.Gate.inverts kind then not value else value in
-        let x_input = ref None in
-        Array.iter
-          (fun src ->
-            if Logic5.has_unknown values.(src) then
-              match !x_input with
-              | None -> x_input := Some src
-              | Some cur ->
-                if choice_cost src value < choice_cost cur value then x_input := Some src)
-          c.fanins.(node);
-        (match !x_input with None -> None | Some src -> walk src value)
+  (* Objective at [gate]: its cheapest unsettled input at the
+     non-controlling value (to propagate the effect through it) or at
+     the controlling value (to justify its output), backtraced to a
+     free primary input. *)
+  let objective gate ~controlling =
+    let v =
+      match Circuit.Gate.controlling_value c.kinds.(gate) with
+      | Some ctl -> if controlling then ctl else not ctl
+      | None -> false
     in
-    walk node value
+    backtrace (cheapest_unknown gate v) v
   in
 
-  let stack = ref [] in
-
-  let rec attempt () =
+  (* Depth-first search over primary-input assignments (PODEM's decision
+     rule) with chronological backtracking: drive the effect through the
+     first D-frontier gate until an output diverges, then justify the
+     J-frontier.  [true] once a test is found, left in the good plane's
+     input values. *)
+  let rec search () =
     if should_stop () then raise Abort_search;
-    imply ();
-    if po_has_effect () then finish ()
-    else begin
-      let line = fault_line_driver c fault in
-      let line_good = values.(line).Logic5.good in
-      if line_good <> Logic5.U && line_good = stuck then step_back ()
-        (* Activation is contradicted: the line settled at the stuck value. *)
+    match propagate st with
+    | exception Conflict -> false
+    | () ->
+      if po_divergent st then
+        match first_unjustified st with
+        | None -> true
+        | Some gate -> decide (objective gate ~controlling:true)
       else begin
-        let activated = Logic5.is_fault_effect (fault_effect_value ()) in
-        let frontier = d_frontier () in
-        if activated && frontier = [] then step_back ()
-        else if activated && not (x_path_exists frontier) then step_back ()
-        else begin
-          match objective () with
-          | None -> step_back ()
-          | Some (node, v) ->
-            (match backtrace node v with
-            | None -> step_back ()
-            | Some (input_index, bool_value) ->
-              let value = if bool_value then Logic5.T else Logic5.F in
-              let decision = { input_index; value; flipped = false } in
-              stack := decision :: !stack;
-              pi.(input_index) <- value;
-              attempt ())
-        end
+        match d_frontier st with
+        | [] -> false
+        | gate :: _ as frontier ->
+          x_path_exists st frontier && decide (objective gate ~controlling:false)
       end
-    end
-
-  and step_back () =
-    match !stack with
-    | [] -> Untestable
-    | top :: rest ->
-      if top.flipped then begin
-        pi.(top.input_index) <- Logic5.U;
-        stack := rest;
-        step_back ()
-      end
-      else begin
-        incr backtracks;
-        if !backtracks > backtrack_limit || should_stop () then
-          raise Abort_search;
-        top.flipped <- true;
-        top.value <- Logic5.not3 top.value;
-        pi.(top.input_index) <- top.value;
-        attempt ()
-      end
-
-  and finish () =
-    let pattern =
-      Array.map (function Logic5.T -> true | Logic5.F | Logic5.U -> false) pi
+  and decide (pi, v) =
+    let mark = st.trail in
+    let try_value v =
+      (set st Good pi (t3_of_bool v);
+       search ())
+      || (backtrack_to st mark; false)
     in
-    Test pattern
+    try_value v
+    || begin
+      incr backtracks;
+      if !backtracks > backtrack_limit || should_stop () then raise Abort_search;
+      try_value (not v)
+    end
+  in
+  let search_from_activation () =
+    (* Detection requires the good machine to drive the faulty line to
+       the complement of the stuck value, and the faulty machine holds
+       the stuck value at a faulted stem: assert both up front.  So do
+       the constants, which no implication event would otherwise
+       reach. *)
+    match
+      if stem >= 0 then set st Faulty stem st.stuck;
+      set st Good line (t3_of_bool (not stuck_bit));
+      Array.iter
+        (fun node ->
+          match c.kinds.(node) with
+          | Circuit.Gate.Const0 | Circuit.Gate.Const1 ->
+            let v = eval st Good node in
+            set st Good node v;
+            if node <> stem then set st Faulty node v
+          | _ -> ())
+        c.topo_order
+    with
+    | exception Conflict -> Untestable
+    | () ->
+      if search () then
+        Test (Array.map (fun pi -> st.good.(pi) = One) c.inputs)
+      else Untestable
   in
 
   (* Sound pre-search verdicts from the static analyses: a fault on a
@@ -396,13 +394,10 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
              (Faults.Fault.site_node fault))
       then Some Untestable
       else begin
-        match implication_graph with
-        | None -> None
-        | Some imp ->
-          let line = fault_line_driver c fault in
-          if Analysis.Implication.infeasible imp line (stuck = Logic5.F) then
-            Some Untestable
-          else None
+        match Analysis.Engine.implication a with
+        | Some imp when Analysis.Implication.infeasible imp line (not stuck_bit) ->
+          Some Untestable
+        | Some _ | None -> None
       end)
   in
   let verdict =
@@ -413,17 +408,15 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
             if Obs.Metrics.enabled () then
               Obs.Metrics.incr "atpg.podem.static_untestable";
             verdict
-          | None -> ( try attempt () with Abort_search -> Aborted)
+          | None -> ( try search_from_activation () with Abort_search -> Aborted)
         in
         Obs.Trace.add_int "backtracks" !backtracks;
-        Obs.Trace.add_int "implications" !implications;
-        if Option.is_some analysis then Obs.Trace.add_int "pruned" !pruned;
+        Obs.Trace.add_int "implications" st.implications;
         verdict)
   in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr "atpg.podem.calls";
     Obs.Metrics.incr ~by:(float_of_int !backtracks) "atpg.podem.backtracks";
-    Obs.Metrics.incr ~by:(float_of_int !implications) "atpg.podem.implications";
-    Obs.Metrics.incr ~by:(float_of_int !pruned) "atpg.podem.pruned"
+    Obs.Metrics.incr ~by:(float_of_int st.implications) "atpg.podem.implications"
   end;
-  (verdict, { backtracks = !backtracks; implications = !implications })
+  (verdict, { backtracks = !backtracks; implications = st.implications })

@@ -1,9 +1,16 @@
 (** PODEM — path-oriented decision making (Goel, 1981).
 
     Deterministic test generation for a single stuck-at fault: a
-    branch-and-bound search over primary-input assignments only, with
-    forward implication in 5-valued logic, D-frontier tracking and an
-    X-path check for early pruning.  Complete: with an unbounded
+    branch-and-bound search over primary-input assignments only (PODEM's
+    decision rule), over two three-valued circuit planes — the good and
+    the faulty machine.  After every decision, event-driven forward
+    {e and backward} implication runs to a fixpoint in both planes, so
+    forced values and conflicts surface early; D-frontier tracking and
+    an X-path check prune dead branches, and a trail undoes assignments
+    on backtrack.  A test is reported once a primary output diverges
+    between the planes and every defined line is implied by its fanins
+    (the D-algorithm's empty J-frontier), so any completion of the
+    unassigned inputs detects the fault.  Complete: with an unbounded
     backtrack budget, [Untestable] is a proof of redundancy. *)
 
 type result =
@@ -19,10 +26,12 @@ type stats = { backtracks : int; implications : int }
 
 type guidance =
   | Level_based
-      (** Choose the shallowest X input — cheap, reasonable default. *)
+      (** Backtrace through the shallowest unassigned fanin — cheap,
+          reasonable default. *)
   | Scoap_based of Scoap.t
-      (** Choose by SCOAP controllability; the ablation bench measures
-          the backtrack reduction this buys on resistant faults. *)
+      (** Backtrace through the fanin with the lowest SCOAP
+          controllability for the wanted value; the ablation bench
+          measures the backtrack difference on resistant faults. *)
 
 val generate :
   ?backtrack_limit:int ->
@@ -41,16 +50,14 @@ val generate :
     [Invalid_argument] when [time_budget_s <= 0].  The returned pattern is
     guaranteed (and test-suite verified) to detect the fault under the
     fault simulator; the verdicts (test found / untestable) do not
-    depend on the guidance, only the search effort does.
+    depend on the guidance, only the search effort does.  [implications]
+    counts gate implication steps (one per gate taken off the event
+    queue).
 
-    [analysis] (built over the {e same} netlist) adds three
-    accelerations: sound pre-search [Untestable] verdicts for
-    structurally unobservable sites and infeasible activation values;
-    {e unique sensitization} — when the D-frontier shares absolute
-    dominators, their out-of-cone side inputs are scheduled toward
-    non-controlling values first; and learned-implication filtering of
-    objective candidates whose consequences contradict the current
-    state.  All three only reorder or shortcut the search — the
-    verdict for any fault is unchanged (verified against exhaustive
-    simulation), and the backtrack count can only shrink on faults
-    where the heuristics bite. *)
+    [analysis] (built over the {e same} netlist) adds sound pre-search
+    [Untestable] verdicts — structurally unobservable sites (via
+    dominators), activation values the learned implications prove
+    infeasible, and {!Analysis.Exact} proofs when the engine carries the
+    exact bundle — and otherwise leaves the search untouched, so no
+    verdict changes (verified against exhaustive simulation) and the
+    backtrack count can only shrink. *)

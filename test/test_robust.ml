@@ -373,6 +373,35 @@ let test_atpg_checkpoint_mismatch_raises () =
        false
      with Robust.Checkpoint.Mismatch _ -> true)
 
+(* A checkpoint from the earlier forward-only PODEM carries
+   ["engine":"podem"] where this generator writes its "generator" tag;
+   resuming it would splice another search's verdicts into the report,
+   so it must be refused. *)
+let test_atpg_checkpoint_other_generator_raises () =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
+  let universe = Faults.Universe.all c in
+  let ckpt resume = { Tpg.Atpg.path; every = 4; resume } in
+  ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe);
+  (match Robust.Checkpoint.load ~path with
+  | Ok (Report.Json.Obj fields, payload) ->
+    let fields =
+      List.map
+        (function
+          | "generator", _ -> ("engine", Report.Json.String "podem")
+          | kv -> kv)
+        fields
+    in
+    Robust.Checkpoint.save ~path ~meta:(Report.Json.Obj fields) ~payload
+  | Ok _ -> Alcotest.fail "checkpoint meta is not an object"
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool) "checkpoint of another generator rejected" true
+    (try
+       ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe);
+       false
+     with Robust.Checkpoint.Mismatch _ -> true)
+
 let test_atpg_precancelled_counts_unknown () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
   let universe = Faults.Universe.all c in
@@ -604,6 +633,8 @@ let suite =
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
         tc "checkpoint resume bit-identical" test_atpg_checkpoint_resume_bit_identical;
         tc "mismatched resume raises" test_atpg_checkpoint_mismatch_raises;
+        tc "other generator's checkpoint refused"
+          test_atpg_checkpoint_other_generator_raises;
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;

@@ -1,74 +1,11 @@
-(* Tests for 5-valued logic, PODEM and the ATPG driver. *)
+(* Tests for PODEM, SCOAP and the ATPG driver. *)
 
 module F = Faults.Fault
 module N = Circuit.Netlist
-module L5 = Tpg.Logic5
 
 let exhaustive_patterns width =
   Array.init (1 lsl width) (fun v ->
       Array.init width (fun i -> (v lsr i) land 1 = 1))
-
-(* ----------------------------- logic5 ------------------------------ *)
-
-let test_logic5_constants () =
-  Alcotest.(check bool) "D is effect" true (L5.is_fault_effect L5.d);
-  Alcotest.(check bool) "D' is effect" true (L5.is_fault_effect L5.dbar);
-  Alcotest.(check bool) "1 is not" false (L5.is_fault_effect L5.one);
-  Alcotest.(check bool) "X is x" true (L5.is_x L5.x);
-  Alcotest.(check bool) "D has no unknown" false (L5.has_unknown L5.d)
-
-let test_logic5_ternary_tables () =
-  Alcotest.(check bool) "F and U = F" true (L5.and3 L5.F L5.U = L5.F);
-  Alcotest.(check bool) "T and U = U" true (L5.and3 L5.T L5.U = L5.U);
-  Alcotest.(check bool) "T or U = T" true (L5.or3 L5.T L5.U = L5.T);
-  Alcotest.(check bool) "F or U = U" true (L5.or3 L5.F L5.U = L5.U);
-  Alcotest.(check bool) "not U = U" true (L5.not3 L5.U = L5.U);
-  Alcotest.(check bool) "T xor U = U" true (L5.xor3 L5.T L5.U = L5.U);
-  Alcotest.(check bool) "T xor T = F" true (L5.xor3 L5.T L5.T = L5.F)
-
-let test_logic5_d_algebra () =
-  (* AND(D, 1) = D, AND(D, 0) = 0, AND(D, D') = 0, XOR(D, D) = 0. *)
-  let eval kind vs = L5.eval_gate kind (Array.of_list vs) in
-  Alcotest.(check bool) "AND(D,1)=D" true (eval Circuit.Gate.And [ L5.d; L5.one ] = L5.d);
-  Alcotest.(check bool) "AND(D,0)=0" true (eval Circuit.Gate.And [ L5.d; L5.zero ] = L5.zero);
-  Alcotest.(check bool) "AND(D,D')=0" true
-    (eval Circuit.Gate.And [ L5.d; L5.dbar ] = L5.zero);
-  Alcotest.(check bool) "XOR(D,D)=0" true (eval Circuit.Gate.Xor [ L5.d; L5.d ] = L5.zero);
-  Alcotest.(check bool) "XOR(D,D')=1" true
-    (eval Circuit.Gate.Xor [ L5.d; L5.dbar ] = L5.one);
-  Alcotest.(check bool) "NOT(D)=D'" true (eval Circuit.Gate.Not [ L5.d ] = L5.dbar);
-  Alcotest.(check bool) "OR(D',1)=1" true (eval Circuit.Gate.Or [ L5.dbar; L5.one ] = L5.one)
-
-let test_logic5_consistent_with_bool () =
-  (* On fully-defined values, 5-valued evaluation = boolean evaluation
-     applied to each machine. *)
-  let kinds =
-    [ Circuit.Gate.And; Circuit.Gate.Nand; Circuit.Gate.Or; Circuit.Gate.Nor;
-      Circuit.Gate.Xor; Circuit.Gate.Xnor ]
-  in
-  List.iter
-    (fun kind ->
-      for a = 0 to 3 do
-        for b = 0 to 3 do
-          (* encode 0..3 as (good, faulty) bit pairs *)
-          let v code =
-            { L5.good = (if code land 1 = 1 then L5.T else L5.F);
-              faulty = (if code land 2 = 2 then L5.T else L5.F) }
-          in
-          let result = L5.eval_gate kind [| v a; v b |] in
-          let expected_good =
-            Circuit.Gate.eval kind [| a land 1 = 1; b land 1 = 1 |]
-          in
-          let expected_faulty =
-            Circuit.Gate.eval kind [| a land 2 = 2; b land 2 = 2 |]
-          in
-          Alcotest.(check bool) "good plane" true
-            (result.L5.good = if expected_good then L5.T else L5.F);
-          Alcotest.(check bool) "faulty plane" true
-            (result.L5.faulty = if expected_faulty then L5.T else L5.F)
-        done
-      done)
-    kinds
 
 (* ------------------------------ podem ------------------------------ *)
 
@@ -79,11 +16,11 @@ let exhaustively_detectable c fault width =
   (Fsim.Serial.run c [| fault |] (exhaustive_patterns width)).(0) <> None
 
 (* Sound and complete on a circuit small enough for exhaustive ground truth. *)
-let check_podem_on c width =
+let check_podem_on ?guidance c width =
   let universe = Faults.Universe.all c in
   Array.iter
     (fun fault ->
-      match Tpg.Podem.generate ~backtrack_limit:10_000 c fault with
+      match Tpg.Podem.generate ~backtrack_limit:10_000 ?guidance c fault with
       | Tpg.Podem.Test pattern, _ ->
         Alcotest.(check bool)
           (Printf.sprintf "%s: generated test detects" (F.to_string c fault))
@@ -98,7 +35,11 @@ let check_podem_on c width =
 
 let test_podem_c17 () = check_podem_on (Circuit.Generators.c17 ()) 5
 
-let test_podem_adder () = check_podem_on (Circuit.Generators.ripple_carry_adder ~bits:3) 7
+(* The carry-select adder feeds constant 0/1 carries into its upper
+   blocks, so it also checks that constants are settled before search. *)
+let test_podem_adder () =
+  check_podem_on (Circuit.Generators.ripple_carry_adder ~bits:3) 7;
+  check_podem_on (Circuit.Generators.carry_select_adder ~bits:4 ~block:2) 9
 
 let test_podem_mux () = check_podem_on (Circuit.Generators.mux_tree ~select_bits:2) 6
 
@@ -111,6 +52,17 @@ let test_podem_random_circuits () =
         (Circuit.Generators.random_circuit ~inputs:7 ~gates:60 ~outputs:4 ~seed)
         7)
     [ 10; 20; 30 ]
+
+(* Both backtrace guidances must stay sound and complete: the level
+   heuristic and SCOAP pick different objectives, so they walk different
+   parts of the decision tree. *)
+let test_podem_random_circuits_both_guidances () =
+  List.iter
+    (fun seed ->
+      let c = Circuit.Generators.random_circuit ~inputs:7 ~gates:60 ~outputs:4 ~seed in
+      check_podem_on c 7;
+      check_podem_on ~guidance:(Tpg.Podem.Scoap_based (Tpg.Scoap.analyze c)) c 7)
+    [ 11; 21; 31 ]
 
 let test_podem_finds_redundancy () =
   (* y = OR(a, AND(a, b)) — the AND gate is functionally redundant
@@ -332,86 +284,6 @@ let test_scoap_export () =
       entries
   | _ -> Alcotest.fail "json export is not a list"
 
-(* ------------------------- implication atpg ------------------------- *)
-
-let check_implication_on c width =
-  let universe = Faults.Universe.all c in
-  Array.iter
-    (fun fault ->
-      match Tpg.Implication_atpg.generate ~backtrack_limit:10_000 c fault with
-      | Tpg.Implication_atpg.Test pattern, _ ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: test detects" (F.to_string c fault))
-          true (verify_test_detects c fault pattern)
-      | Tpg.Implication_atpg.Untestable, _ ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: redundancy claim true" (F.to_string c fault))
-          false (exhaustively_detectable c fault width)
-      | Tpg.Implication_atpg.Aborted, _ ->
-        Alcotest.failf "%s: aborted on a small circuit" (F.to_string c fault))
-    universe
-
-let test_implication_c17 () = check_implication_on (Circuit.Generators.c17 ()) 5
-
-let test_implication_adder () =
-  check_implication_on (Circuit.Generators.ripple_carry_adder ~bits:3) 7
-
-let test_implication_random () =
-  List.iter
-    (fun seed ->
-      check_implication_on
-        (Circuit.Generators.random_circuit ~inputs:7 ~gates:60 ~outputs:4 ~seed)
-        7)
-    [ 11; 21; 31 ]
-
-let test_implication_agrees_with_podem () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed in
-      Array.iter
-        (fun fault ->
-          let podem =
-            match Tpg.Podem.generate ~backtrack_limit:10_000 c fault with
-            | Tpg.Podem.Test _, _ -> `Test
-            | Tpg.Podem.Untestable, _ -> `Untestable
-            | Tpg.Podem.Aborted, _ -> `Aborted
-          in
-          let implication =
-            match Tpg.Implication_atpg.generate ~backtrack_limit:10_000 c fault with
-            | Tpg.Implication_atpg.Test _, _ -> `Test
-            | Tpg.Implication_atpg.Untestable, _ -> `Untestable
-            | Tpg.Implication_atpg.Aborted, _ -> `Aborted
-          in
-          Alcotest.(check bool) "same verdict" true
-            (podem = implication || podem = `Aborted || implication = `Aborted))
-        (Faults.Universe.all c))
-    [ 51; 52 ]
-
-let test_implication_finds_redundancy () =
-  let b = N.Builder.create ~name:"redundant" in
-  let a = N.Builder.add_input b "a" in
-  let bb = N.Builder.add_input b "b" in
-  let g = N.Builder.add_gate b ~name:"g" Circuit.Gate.And [ a; bb ] in
-  let y = N.Builder.add_gate b ~name:"y" Circuit.Gate.Or [ a; g ] in
-  N.Builder.mark_output b y;
-  let c = N.Builder.build b in
-  match
-    Tpg.Implication_atpg.generate c { F.site = F.Stem g; polarity = F.Stuck_at_0 }
-  with
-  | Tpg.Implication_atpg.Untestable, _ -> ()
-  | Tpg.Implication_atpg.Test _, _ -> Alcotest.fail "claimed a test"
-  | Tpg.Implication_atpg.Aborted, _ -> Alcotest.fail "aborted"
-
-let test_atpg_with_implication_engine () =
-  let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let config =
-    { Tpg.Atpg.default_config with Tpg.Atpg.engine = Tpg.Atpg.Implication_engine }
-  in
-  let report = Tpg.Atpg.run ~config c universe in
-  Alcotest.(check int) "no aborts" 0 report.Tpg.Atpg.aborted;
-  Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Tpg.Atpg.coverage report)
-
 (* ---------------------------- random tpg ---------------------------- *)
 
 let test_random_walk_shape () =
@@ -569,17 +441,13 @@ let qcheck_props =
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
-  [ ( "tpg.logic5",
-      [ tc "constants" test_logic5_constants;
-        tc "ternary tables" test_logic5_ternary_tables;
-        tc "D-algebra" test_logic5_d_algebra;
-        tc "consistent with boolean planes" test_logic5_consistent_with_bool ] );
-    ( "tpg.podem",
+  [ ( "tpg.podem",
       [ tc "c17 sound and complete" test_podem_c17;
         tc "adder sound and complete" test_podem_adder;
         tc "mux sound and complete" test_podem_mux;
         tc "parity sound and complete" test_podem_parity;
         tc "random circuits sound and complete" test_podem_random_circuits;
+        tc "guidances sound on random circuits" test_podem_random_circuits_both_guidances;
         tc "proves absorption redundancy" test_podem_finds_redundancy;
         tc "respects backtrack limit" test_podem_respects_backtrack_limit;
         tc "stats populated" test_podem_stats_populated ] );
@@ -593,13 +461,6 @@ let suite =
         tc "podem guidance preserves verdicts" test_podem_scoap_guidance_same_verdicts;
         tc "saturating add clamps" test_scoap_saturating_add;
         tc "hardest-fault export" test_scoap_export ] );
-    ( "tpg.implication_atpg",
-      [ tc "c17 sound and complete" test_implication_c17;
-        tc "adder sound and complete" test_implication_adder;
-        tc "random circuits sound and complete" test_implication_random;
-        tc "verdicts agree with podem" test_implication_agrees_with_podem;
-        tc "proves redundancy" test_implication_finds_redundancy;
-        tc "drives the ATPG flow" test_atpg_with_implication_engine ] );
     ( "tpg.random",
       [ tc "random walk hamming" test_random_walk_shape;
         tc "weighted extremes" test_weighted_extremes;
