@@ -209,16 +209,11 @@ let measure ~warmup ~repeats f =
       major_words = g1.Gc.major_words -. g0.Gc.major_words } )
 
 (* Static-analysis bench: dominator-pass and implication-closure cost
-   at several learn depths, plus a PODEM ablation — baseline vs
-   analysis-assisted — over the faults a short random pattern set
-   leaves undetected (the faults deterministic ATPG actually has to
-   work on).  Verdicts must agree fault-by-fault and the assisted run
-   must not add backtracks in total; both are hard failures here so a
-   regression breaks the build, and the numbers land in
-   BENCH_fsim.json next to the fault-simulation sweep. *)
+   at several learn depths; the numbers land in BENCH_fsim.json next to
+   the fault-simulation sweep. *)
 
 let analysis_bench ~smoke () =
-  Printf.printf "\nstatic analysis (learn depths 0/1/2 + PODEM ablation)\n\n";
+  Printf.printf "\nstatic analysis (learn depths 0/1/2)\n\n";
   let circuit =
     if smoke then
       Circuit.Generators.random_circuit ~inputs:16 ~gates:400 ~outputs:12 ~seed:7
@@ -253,56 +248,6 @@ let analysis_bench ~smoke () =
             ("p90_s", Report.Json.Float (t_p90 t)) ])
       [ 0; 1; 2 ]
   in
-  (* PODEM ablation on the faults random patterns leave undetected. *)
-  let classes = Faults.Collapse.equivalence circuit (Faults.Universe.all circuit) in
-  let universe = Faults.Collapse.dominance circuit classes in
-  let patterns =
-    Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:99 ()) circuit
-      ~count:(if smoke then 32 else 64)
-  in
-  let profile = Fsim.Coverage.profile circuit universe patterns in
-  let hard = Array.of_list (Fsim.Coverage.undetected profile universe) in
-  let engine = Analysis.Engine.build ~learn_depth:(Some 1) circuit in
-  let sweep ?analysis () =
-    Array.map (fun fault -> Tpg.Podem.generate ?analysis circuit fault) hard
-  in
-  let baseline = sweep () in
-  let assisted = sweep ~analysis:engine () in
-  (* Under a finite backtrack limit, reordering the search legitimately
-     changes which faults abort; the soundness invariant is that the
-     two runs never return *contradicting* verdicts (Test one way,
-     Untestable the other). *)
-  let conflicts = ref 0 in
-  Array.iteri
-    (fun i (rb, _) ->
-      let ra, _ = assisted.(i) in
-      match (rb, ra) with
-      | Tpg.Podem.Test _, Tpg.Podem.Untestable
-      | Tpg.Podem.Untestable, Tpg.Podem.Test _ -> incr conflicts
-      | _ -> ())
-    baseline;
-  let total run =
-    Array.fold_left (fun acc (_, s) -> acc + s.Tpg.Podem.backtracks) 0 run
-  in
-  let aborts run =
-    Array.fold_left
-      (fun acc (r, _) -> acc + match r with Tpg.Podem.Aborted -> 1 | _ -> 0)
-      0 run
-  in
-  let baseline_backtracks = total baseline in
-  let assisted_backtracks = total assisted in
-  Printf.printf
-    "\nPODEM ablation: %d hard faults, backtracks %d -> %d (delta %d), \
-     aborts %d -> %d, %d verdict conflicts\n"
-    (Array.length hard) baseline_backtracks assisted_backtracks
-    (baseline_backtracks - assisted_backtracks)
-    (aborts baseline) (aborts assisted) !conflicts;
-  if !conflicts > 0 then
-    failwith "BENCH analyze: PODEM verdicts contradict under analysis";
-  if aborts assisted > aborts baseline then
-    failwith "BENCH analyze: analysis-assisted PODEM aborted on more faults";
-  if assisted_backtracks > baseline_backtracks then
-    failwith "BENCH analyze: analysis-assisted PODEM added backtracks";
   Report.Json.Obj
     [ ("circuit", Report.Json.String circuit.Circuit.Netlist.name);
       ("gates", Report.Json.Int (Circuit.Netlist.num_gates circuit));
@@ -311,20 +256,10 @@ let analysis_bench ~smoke () =
           [ ("min_s", Report.Json.Float (t_min dom_t));
             ("median_s", Report.Json.Float (t_median dom_t));
             ("p90_s", Report.Json.Float (t_p90 dom_t)) ] );
-      ("implications", Report.Json.List learn_rows);
-      ( "podem_ablation",
-        Report.Json.Obj
-          [ ("hard_faults", Report.Json.Int (Array.length hard));
-            ("baseline_backtracks", Report.Json.Int baseline_backtracks);
-            ("analysis_backtracks", Report.Json.Int assisted_backtracks);
-            ( "backtracks_saved",
-              Report.Json.Int (baseline_backtracks - assisted_backtracks) );
-            ("baseline_aborted", Report.Json.Int (aborts baseline));
-            ("analysis_aborted", Report.Json.Int (aborts assisted));
-            ("verdict_conflicts", Report.Json.Int !conflicts) ] ) ]
+      ("implications", Report.Json.List learn_rows) ]
 
 let run_analyze () =
-  section "Static-analysis bench (dominators, implications, PODEM ablation)";
+  section "Static-analysis bench (dominators, implications)";
   ignore (analysis_bench ~smoke:false ())
 
 (* n-detection sweep: grade one fault universe with the drop-after-n
@@ -998,9 +933,7 @@ let run_obs_smoke ?(out = "BENCH_trace_smoke.json")
       Obs.Trace.set_enabled false;
       Obs.Metrics.set_enabled false)
     (fun () ->
-      ignore
-        (Analysis.Engine.build ~exact_budget:Analysis.Exact.default_budget
-           small);
+      ignore (Analysis.Exact.analyze ~budget:Analysis.Exact.default_budget small);
       ignore (Bdd.Equiv.check small small));
   let exact_names = span_names (Obs.Trace.to_chrome_json ()) in
   List.iter
@@ -1165,11 +1098,6 @@ let micro_tests () =
         (Staged.stage (fun () -> Logicsim.Refsim.eval circuit patterns.(0)));
       Test.make ~name:"podem-one-fault"
         (Staged.stage (fun () -> Tpg.Podem.generate circuit reps.(17)));
-      Test.make ~name:"podem-scoap-guided"
-        (let scoap = Tpg.Scoap.analyze circuit in
-         Staged.stage (fun () ->
-             Tpg.Podem.generate ~guidance:(Tpg.Podem.Scoap_based scoap) circuit
-               reps.(17)));
       Test.make ~name:"scoap-analyze"
         (Staged.stage (fun () -> Tpg.Scoap.analyze circuit));
       Test.make ~name:"collapse"

@@ -588,16 +588,6 @@ let atpg_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write generated patterns (one 0/1 row per pattern) to FILE.")
   in
-  let use_analysis =
-    Arg.(value & flag & info [ "use-analysis" ]
-           ~doc:"Build the static implication & dominator engine once and \
-                 let PODEM use it for sound pre-search untestability \
-                 verdicts: faults it proves untestable skip the search.")
-  in
-  let learn_depth =
-    Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"N"
-           ~doc:"Implication learning sweeps for $(b,--use-analysis).")
-  in
   let backtrack_limit =
     Arg.(value
          & opt (positive_int ~what:"a backtrack limit")
@@ -613,9 +603,8 @@ let atpg_cmd =
                  timing-dependent — prefer $(b,--backtrack-limit) for \
                  reproducible runs.")
   in
-  let action circuit out seed use_analysis learn_depth exact backtrack_limit
-      podem_budget deadline checkpoint every resume trace metrics journal
-      progress =
+  let action circuit out seed backtrack_limit podem_budget deadline checkpoint
+      every resume trace metrics journal progress =
     (match podem_budget with
     | Some b when b <= 0.0 -> usage_error "--podem-budget must be > 0 (got %g)" b
     | _ -> ());
@@ -630,8 +619,7 @@ let atpg_cmd =
         let reps = Faults.Collapse.representatives classes in
         let config =
           { Tpg.Atpg.default_config with
-            Tpg.Atpg.seed; use_analysis; learn_depth; exact_budget = exact;
-            backtrack_limit; podem_time_budget_s = podem_budget }
+            Tpg.Atpg.seed; backtrack_limit; podem_time_budget_s = podem_budget }
         in
         let checkpointing =
           Option.map (fun path -> { Tpg.Atpg.path; every; resume }) checkpoint
@@ -680,10 +668,10 @@ let atpg_cmd =
   in
   let doc = "Generate a test set (random + PODEM) for a circuit." in
   Cmd.v (Cmd.info "atpg" ~doc)
-    Term.(const action $ circuit_arg $ out $ seed_arg $ use_analysis
-          $ learn_depth $ exact_arg $ backtrack_limit $ podem_budget
-          $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-          $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+    Term.(const action $ circuit_arg $ out $ seed_arg $ backtrack_limit
+          $ podem_budget $ deadline_arg $ checkpoint_arg
+          $ checkpoint_every_arg $ resume_arg $ trace_arg $ metrics_arg
+          $ journal_arg $ progress_arg)
 
 (* ------------------------------ convert ----------------------------- *)
 

@@ -53,8 +53,6 @@ let compute (c : N.t) =
     Obs.Metrics.incr "analysis.dominators.runs";
   { idom; order; sink }
 
-let observable t id = t.idom.(id) <> -1
-
 let idom t id =
   match t.idom.(id) with
   | -1 -> None
@@ -76,12 +74,6 @@ let dominates t d ~over =
   &&
   let rec chase id = id <> t.sink && (id = d || chase t.idom.(id)) in
   chase t.idom.(over)
-
-let common_dominators t = function
-  | [] -> []
-  | first :: rest ->
-    dominators t first
-    |> List.filter (fun d -> List.for_all (fun n -> dominates t d ~over:n) rest)
 
 let unobservable_stems t =
   let acc = ref [] in

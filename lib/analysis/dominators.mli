@@ -20,10 +20,6 @@ val compute : Circuit.Netlist.t -> t
 (** One pass over the netlist; instrumented as the
     ["analysis.dominators"] span. *)
 
-val observable : t -> int -> bool
-(** Whether any path links node [id]'s stem to a primary output.  A
-    primary output is observable by definition. *)
-
 val idom : t -> int -> int option
 (** Immediate dominator of node [id]: the nearest node (other than
     [id] itself) through which every [id]-to-output path passes.
@@ -38,12 +34,6 @@ val dominators : t -> int -> int list
 val dominates : t -> int -> over:int -> bool
 (** [dominates t d ~over:n] — is [d] a strict absolute dominator of
     [n]? *)
-
-val common_dominators : t -> int list -> int list
-(** Strict dominators shared by {e every} node of the list, nearest
-    (lowest level) first.  For a D-frontier this is the set of gates
-    any detection path must still traverse, whichever frontier gate
-    carries the effect onward.  [common_dominators t []] is []. *)
 
 val unobservable_stems : t -> int list
 (** Nodes with no path to any primary output, in node order — dead

@@ -4,10 +4,9 @@ type t = {
   implication : Implication.t option;
   prob : Signal_prob.t;
   detectability : Detectability.t;
-  exact : Exact.t option;
 }
 
-let build ?(learn_depth = Some 1) ?exact_budget (c : Circuit.Netlist.t) =
+let build ?(learn_depth = Some 1) (c : Circuit.Netlist.t) =
   Obs.Trace.with_span "analysis.build" @@ fun () ->
   let dominators = Dominators.compute c in
   let implication =
@@ -17,14 +16,8 @@ let build ?(learn_depth = Some 1) ?exact_budget (c : Circuit.Netlist.t) =
   in
   let prob = Signal_prob.analyze c in
   let detectability = Detectability.analyze ~dominators prob in
-  let exact =
-    match exact_budget with
-    | None -> None
-    | Some budget -> Some (Exact.analyze ~budget c)
-  in
-  { circuit = c; dominators; implication; prob; detectability; exact }
+  { circuit = c; dominators; implication; prob; detectability }
 
-let exact t = t.exact
 let implication t = t.implication
 let dominators t = t.dominators
 let prob t = t.prob

@@ -108,43 +108,6 @@ let griffin_dispersion ?(yield_ = 0.07) ?(n0 = 8.0) ?(reject = 0.001) () =
       { dispersion; required_base; required_mixed })
     [ 1.0; 1.5; 2.0; 3.0; 5.0 ]
 
-type atpg_engine_row = {
-  engine : string;
-  total_backtracks : int;
-  total_implications : int;
-  aborted_faults : int;
-}
-
-let atpg_engines ?(bits = 6) ?(hardest = 60) () =
-  let c = Circuit.Generators.array_multiplier ~bits in
-  let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
-  let universe = Faults.Collapse.representatives classes in
-  let scoap = Tpg.Scoap.analyze c in
-  let targets =
-    Tpg.Scoap.hardest_faults scoap c universe ~count:hardest |> List.map fst
-  in
-  let measure engine run =
-    let backtracks = ref 0 and implications = ref 0 and aborted = ref 0 in
-    List.iter
-      (fun fault ->
-        let b, i, a = run fault in
-        backtracks := !backtracks + b;
-        implications := !implications + i;
-        if a then incr aborted)
-      targets;
-    { engine; total_backtracks = !backtracks; total_implications = !implications;
-      aborted_faults = !aborted }
-  in
-  [ measure "PODEM (level-guided)" (fun fault ->
-        let r, s = Tpg.Podem.generate ~backtrack_limit:5000 c fault in
-        (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted));
-    measure "PODEM (SCOAP-guided)" (fun fault ->
-        let r, s =
-          Tpg.Podem.generate ~backtrack_limit:5000
-            ~guidance:(Tpg.Podem.Scoap_based scoap) c fault
-        in
-        (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted)) ]
-
 let render () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "Ablation A: Eq.7 closed form vs Eq.6 exact sum\n\n";
@@ -190,14 +153,4 @@ let render () =
               Report.Table.percent_cell r.required_base;
               Report.Table.percent_cell r.required_mixed ])
           (griffin_dispersion ())));
-  Buffer.add_string buf "\nAblation E: PODEM backtrace guidance on the hardest faults\n\n";
-  Buffer.add_string buf
-    (Report.Table.render
-       ~aligns:[ Report.Table.Left; Right; Right; Right ]
-       ~headers:[ "guidance"; "backtracks"; "implications"; "aborted" ]
-       (List.map
-          (fun r ->
-            [ r.engine; string_of_int r.total_backtracks;
-              string_of_int r.total_implications; string_of_int r.aborted_faults ])
-          (atpg_engines ())));
   Buffer.contents buf

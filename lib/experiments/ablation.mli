@@ -48,18 +48,5 @@ val griffin_dispersion : ?yield_:float -> ?n0:float -> ?reject:float -> unit ->
 (** Required coverage under the fixed-n0 model versus the gamma-mixed
     (Griffin) model as line dispersion grows. *)
 
-type atpg_engine_row = {
-  engine : string;
-  total_backtracks : int;
-  total_implications : int;
-  aborted_faults : int;
-}
-
-val atpg_engines : ?bits:int -> ?hardest:int -> unit -> atpg_engine_row list
-(** Search effort of the deterministic test generator under its two
-    backtrace guidances — level-guided and SCOAP-guided PODEM — on the
-    [hardest] faults (by SCOAP difficulty) of a [bits]-wide array
-    multiplier. *)
-
 val render : unit -> string
 (** All studies (runs two small pipelines; a few seconds). *)

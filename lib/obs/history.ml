@@ -81,12 +81,7 @@ let metrics_of_doc doc =
         | Some depth ->
           time (Printf.sprintf "analysis/implications@d%d" depth) imp "min_s"
         | None -> ())
-      (as_list (field "implications" analysis));
-    (match field "podem_ablation" analysis with
-    | Some ablation ->
-      exact "analysis/podem" ablation "hard_faults";
-      exact "analysis/podem" ablation "verdict_conflicts"
-    | None -> ())
+      (as_list (field "implications" analysis))
   | None -> ());
   (match field "testability" doc with
   | Some testability ->

@@ -63,7 +63,8 @@ let field name = function
 (* A resumed run must be the same computation as the one that wrote the
    checkpoint — same circuit, engine, seed, sizes — or "bit-identical"
    means nothing.  Every identity field is compared structurally and a
-   mismatch names the offending key. *)
+   mismatch names the offending key.  A field the run does not expect is
+   refused too: it was written by a run with an input this one lacks. *)
 let validate ~kind ~expect json =
   let check (key, want) =
     match field key json with
@@ -91,4 +92,19 @@ let validate ~kind ~expect json =
         | [] -> Ok ()
         | kv :: rest -> (match check kv with Ok () -> all rest | Error _ as e -> e)
       in
-      all expect)
+      let unexpected =
+        match json with
+        | Report.Json.Obj kvs ->
+          List.find_opt
+            (fun (key, _) ->
+              key <> "magic" && key <> "kind" && not (List.mem_assoc key expect))
+            kvs
+        | _ -> None
+      in
+      (match (all expect, unexpected) with
+      | (Error _ as e), _ -> e
+      | Ok (), Some (key, got) ->
+        Error
+          (Printf.sprintf "checkpoint has unexpected field %S (%s)" key
+             (Report.Json.to_string got))
+      | Ok (), None -> Ok ()))

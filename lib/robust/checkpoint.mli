@@ -32,5 +32,6 @@ val validate :
   Report.Json.t ->
   (unit, string) result
 (** Check a loaded meta header against this invocation's identity:
-    magic, [kind], then each [expect] field structurally.  The error
-    message names the first mismatching key and both values. *)
+    magic, [kind], then each [expect] field structurally.  A field in
+    the file that is neither magic, [kind] nor in [expect] is an error
+    too.  The error message names the first offending key. *)

@@ -3,9 +3,6 @@ type config = {
   random_target : float;
   backtrack_limit : int;
   seed : int;
-  use_analysis : bool;
-  learn_depth : int;
-  exact_budget : int option;
   hybrid : bool;
   resistant_threshold : float;
   podem_time_budget_s : float option;
@@ -13,8 +10,7 @@ type config = {
 
 let default_config =
   { random_budget = 512; random_target = 0.90; backtrack_limit = 2000; seed = 7;
-    use_analysis = false; learn_depth = 1;
-    exact_budget = None; hybrid = false; resistant_threshold = 0.01;
+    hybrid = false; resistant_threshold = 0.01;
     podem_time_budget_s = None }
 
 type report = {
@@ -39,10 +35,6 @@ let ckpt_kind = "atpg"
    re-derived on resume, so they must be re-derived from the same
    inputs. *)
 let ckpt_fields config c faults =
-  let opt_int = function
-    | Some n -> Report.Json.Int n
-    | None -> Report.Json.Null
-  in
   [ ("circuit", Report.Json.String c.Circuit.Netlist.name);
     ("nodes", Report.Json.Int (Circuit.Netlist.num_nodes c));
     ("faults", Report.Json.Int (Array.length faults));
@@ -53,9 +45,6 @@ let ckpt_fields config c faults =
     (* Names the search behind the saved verdicts, so a checkpoint
        written by a different test generator is refused, not spliced. *)
     ("generator", Report.Json.String "podem-bidirectional");
-    ("use_analysis", Report.Json.Bool config.use_analysis);
-    ("learn_depth", Report.Json.Int config.learn_depth);
-    ("exact_budget", opt_int config.exact_budget);
     ("hybrid", Report.Json.Bool config.hybrid);
     ("resistant_threshold", Report.Json.Float config.resistant_threshold) ]
 
@@ -150,24 +139,12 @@ let rec drop n l =
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
   Obs.Trace.with_span "atpg.run" @@ fun () ->
-  let want_exact = config.exact_budget <> None in
-  let analysis =
-    if config.use_analysis || config.hybrid || want_exact then
-      Some
-        (Analysis.Engine.build
-           ~learn_depth:
-             (if config.use_analysis then Some config.learn_depth else None)
-           ?exact_budget:(if want_exact then config.exact_budget else None)
-           c)
-    else None
-  in
-  let podem_analysis =
-    if config.use_analysis || want_exact then analysis else None
-  in
   let detectability =
-    match analysis with
-    | Some a when config.hybrid -> Some (Analysis.Engine.detectability a)
-    | _ -> None
+    if config.hybrid then
+      Some
+        (Analysis.Engine.detectability
+           (Analysis.Engine.build ~learn_depth:None c))
+    else None
   in
   (* Hybrid cutover: stop random generation where the statically
      predicted marginal gain of the next block flattens, instead of
@@ -303,8 +280,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
       else begin
         let verdict, _ =
           Podem.generate ~backtrack_limit:config.backtrack_limit
-            ?time_budget_s:config.podem_time_budget_s ~cancel
-            ?analysis:podem_analysis c faults.(target)
+            ?time_budget_s:config.podem_time_budget_s ~cancel c faults.(target)
         in
         match verdict with
         | Podem.Aborted when Robust.Cancel.stop_requested cancel ->

@@ -10,20 +10,6 @@ type config = {
   random_target : float;   (** Stop random phase at this coverage. *)
   backtrack_limit : int;   (** Deterministic budget per fault. *)
   seed : int;
-  use_analysis : bool;
-      (** Build a static {!Analysis.Engine.t} (dominators + learned
-          implications) once per run and hand it to every
-          {!Podem.generate} call for pre-search untestability
-          verdicts: faults the analysis proves untestable skip the
-          search, and no verdict ever contradicts it.  Default off. *)
-  learn_depth : int;
-      (** Implication learning depth when [use_analysis] is set. *)
-  exact_budget : int option;
-      (** When [Some budget], build the {!Analysis.Exact} ROBDD bundle
-          and let PODEM settle fault verdicts before search: exact
-          Untestable proofs skip the search outright, exact Testable
-          skips the (then provably fruitless) static untestability
-          checks.  Default [None]. *)
   hybrid : bool;
       (** Principled random/deterministic cutover: cap the random
           phase at {!Analysis.Detectability.cutover} — the statically

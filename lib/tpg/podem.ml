@@ -2,8 +2,6 @@ type result = Test of bool array | Untestable | Aborted
 
 type stats = { backtracks : int; implications : int }
 
-type guidance = Level_based | Scoap_based of Scoap.t
-
 (* One machine's value on a line.  The search keeps two planes of
    these — the good machine and the faulty machine — and a line carries
    the fault effect when both are defined and differ. *)
@@ -230,8 +228,7 @@ let first_unjustified st =
     st.c.topo_order
 
 let generate ?(backtrack_limit = 1000) ?time_budget_s
-    ?(cancel = Robust.Cancel.none) ?(guidance = Level_based) ?analysis
-    (c : Circuit.Netlist.t) fault =
+    ?(cancel = Robust.Cancel.none) (c : Circuit.Netlist.t) fault =
   (match time_budget_s with
   | Some b when b <= 0.0 ->
     invalid_arg "Podem.generate: time budget must be > 0"
@@ -246,13 +243,6 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let should_stop () =
     Robust.Cancel.stop_requested cancel
     || match deadline with Some d -> Obs.Clock.now_s () >= d | None -> false
-  in
-  (* Cost of driving [src] toward [value]; the search is correct for any
-     cost, guidance only shapes its order. *)
-  let cost src value =
-    match guidance with
-    | Level_based -> c.levels.(src)
-    | Scoap_based scoap -> Scoap.cc scoap src value
   in
   let num_nodes = Circuit.Netlist.num_nodes c in
   let stuck_bit = Faults.Fault.polarity_bit fault.Faults.Fault.polarity in
@@ -272,17 +262,18 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   in
   let backtracks = ref 0 in
 
-  (* The unsettled fanin of [gate] cheapest to drive toward [value].
-     At an implication fixpoint every gate unsettled in some machine
-     has one (with all its pins defined it would have been evaluated),
-     and an unsettled primary input is unassigned, so the walks below
-     always end at a free input. *)
-  let cheapest_unknown gate value =
+  (* The shallowest unsettled fanin of [gate]; the search is correct for
+     any choice, the order only shapes its effort.  At an implication
+     fixpoint every gate unsettled in some machine has one (with all its
+     pins defined it would have been evaluated), and an unsettled primary
+     input is unassigned, so the walks below always end at a free
+     input. *)
+  let shallowest_unknown gate =
     let best =
       Array.fold_left
         (fun best src ->
           if not (has_unknown st src) then best
-          else if best >= 0 && cost best value <= cost src value then best
+          else if best >= 0 && c.levels.(best) <= c.levels.(src) then best
           else src)
         (-1) c.fanins.(gate)
     in
@@ -296,9 +287,9 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     | Circuit.Gate.Input -> (node, value)
     | kind ->
       let value = value <> Circuit.Gate.inverts kind in
-      backtrace (cheapest_unknown node value) value
+      backtrace (shallowest_unknown node) value
   in
-  (* Objective at [gate]: its cheapest unsettled input at the
+  (* Objective at [gate]: its shallowest unsettled input at the
      non-controlling value (to propagate the effect through it) or at
      the controlling value (to justify its output), backtraced to a
      free primary input. *)
@@ -308,7 +299,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       | Some ctl -> if controlling then ctl else not ctl
       | None -> false
     in
-    backtrace (cheapest_unknown gate v) v
+    backtrace (shallowest_unknown gate) v
   in
 
   (* Depth-first search over primary-input assignments (PODEM's decision
@@ -371,45 +362,9 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       else Untestable
   in
 
-  (* Sound pre-search verdicts from the static analyses: a fault on a
-     stem with no path to any output is unobservable, and a fault whose
-     activation value is infeasible (the line is a learned constant at
-     the stuck value) is unexcitable. *)
-  let static_verdict =
-    match analysis with
-    | None -> None
-    | Some a -> (
-      (* An exact ROBDD bundle settles the question outright: its
-         Untestable is a complete proof, and its Testable means the
-         other static untestability checks (all sound) can never fire,
-         so skip them.  Unknown falls through to the usual checks. *)
-      match Option.map (fun e -> Analysis.Exact.verdict e fault) (Analysis.Engine.exact a) with
-      | Some Analysis.Exact.Untestable -> Some Untestable
-      | Some (Analysis.Exact.Testable _) -> None
-      | Some Analysis.Exact.Unknown | None ->
-      if
-        not
-          (Analysis.Dominators.observable
-             (Analysis.Engine.dominators a)
-             (Faults.Fault.site_node fault))
-      then Some Untestable
-      else begin
-        match Analysis.Engine.implication a with
-        | Some imp when Analysis.Implication.infeasible imp line (not stuck_bit) ->
-          Some Untestable
-        | Some _ | None -> None
-      end)
-  in
   let verdict =
     Obs.Trace.with_span "podem.generate" (fun () ->
-        let verdict =
-          match static_verdict with
-          | Some verdict ->
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.incr "atpg.podem.static_untestable";
-            verdict
-          | None -> ( try search_from_activation () with Abort_search -> Aborted)
-        in
+        let verdict = try search_from_activation () with Abort_search -> Aborted in
         Obs.Trace.add_int "backtracks" !backtracks;
         Obs.Trace.add_int "implications" st.implications;
         verdict)

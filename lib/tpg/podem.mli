@@ -24,40 +24,20 @@ type result =
 
 type stats = { backtracks : int; implications : int }
 
-type guidance =
-  | Level_based
-      (** Backtrace through the shallowest unassigned fanin — cheap,
-          reasonable default. *)
-  | Scoap_based of Scoap.t
-      (** Backtrace through the fanin with the lowest SCOAP
-          controllability for the wanted value; the ablation bench
-          measures the backtrack difference on resistant faults. *)
-
 val generate :
   ?backtrack_limit:int ->
   ?time_budget_s:float ->
   ?cancel:Robust.Cancel.t ->
-  ?guidance:guidance ->
-  ?analysis:Analysis.Engine.t ->
   Circuit.Netlist.t -> Faults.Fault.t -> result * stats
 (** [generate c fault] searches for a test.  Default backtrack limit is
-    1000, default guidance {!Level_based}.  [time_budget_s] bounds this
-    fault's wall-clock search time and [cancel] aborts cooperatively
-    (both checked at every decision and backtrack); either yields the
+    1000; backtrace follows the shallowest unsettled fanin.
+    [time_budget_s] bounds this fault's wall-clock search time and
+    [cancel] aborts cooperatively (both checked at every decision and
+    backtrack); either yields the
     typed [Aborted] verdict, never an exception.  A time budget makes
     verdicts timing-dependent — runs that must be reproducible should
     bound the search with [backtrack_limit] alone.  Raises
     [Invalid_argument] when [time_budget_s <= 0].  The returned pattern is
     guaranteed (and test-suite verified) to detect the fault under the
-    fault simulator; the verdicts (test found / untestable) do not
-    depend on the guidance, only the search effort does.  [implications]
-    counts gate implication steps (one per gate taken off the event
-    queue).
-
-    [analysis] (built over the {e same} netlist) adds sound pre-search
-    [Untestable] verdicts — structurally unobservable sites (via
-    dominators), activation values the learned implications prove
-    infeasible, and {!Analysis.Exact} proofs when the engine carries the
-    exact bundle — and otherwise leaves the search untouched, so no
-    verdict changes (verified against exhaustive simulation) and the
-    backtrack count can only shrink. *)
+    fault simulator.  [implications] counts gate implication steps (one
+    per gate taken off the event queue). *)

@@ -6,8 +6,8 @@
     additive rules.  Costs are saturating integers; unreachable
     combinations (e.g. forcing a constant) saturate at {!infinite}.
 
-    Two consumers: PODEM's objective/backtrace guidance (an ablation
-    bench measures the backtrack savings) and hard-fault reporting. *)
+    Consumer: hard-fault reporting ({!hardest_faults}, used by lint and
+    [lsiq stafan]). *)
 
 type t
 
@@ -33,9 +33,6 @@ val cc0 : t -> int -> int
 
 val cc1 : t -> int -> int
 (** Cost of setting node [id] to 1. *)
-
-val cc : t -> int -> bool -> int
-(** [cc t id value]: {!cc1} when [value], else {!cc0}. *)
 
 val co : t -> int -> int
 (** Observability of node [id]'s stem (min over its fanout branches;

@@ -413,33 +413,6 @@ let test_equiv_interface_and_budget () =
   | Ok (Bdd.Equiv.Inconclusive _) -> ()
   | _ -> Alcotest.fail "tiny budget must be inconclusive"
 
-(* ------------------------------------------------------------------ *)
-(* Integration: PODEM with exact verdicts agrees with exhaustive
-   simulation; an exact-equipped engine changes no verdict. *)
-
-let test_podem_with_exact_engine () =
-  let c = G.redundant_demo () in
-  let universe = Faults.Universe.all c in
-  let truth = exact_detections c (exhaustive_patterns (N.num_inputs c)) universe in
-  let engine = Analysis.Engine.build ~exact_budget:E.default_budget c in
-  Alcotest.(check bool) "engine carries the exact bundle" true
-    (Analysis.Engine.exact engine <> None);
-  Array.iteri
-    (fun fi fault ->
-      match Tpg.Podem.generate ~analysis:engine c fault with
-      | Tpg.Podem.Untestable, _ ->
-        if truth.(fi) > 0.0 then
-          Alcotest.failf "%s: PODEM verdict Untestable but d=%.4f"
-            (Faults.Fault.to_string c fault) truth.(fi)
-      | Tpg.Podem.Test _, _ ->
-        if truth.(fi) = 0.0 then
-          Alcotest.failf "%s: PODEM found a test for an undetectable fault"
-            (Faults.Fault.to_string c fault)
-      | Tpg.Podem.Aborted, _ ->
-        Alcotest.failf "%s: aborted on a 54-fault demo"
-          (Faults.Fault.to_string c fault))
-    universe
-
 let suite =
   [ ( "bdd",
       [ Alcotest.test_case "ROBDD core: canonicity, eval, budget" `Quick
@@ -463,6 +436,4 @@ let suite =
         Alcotest.test_case "equivalence verdicts and counterexamples" `Quick
           test_equiv_verdicts;
         Alcotest.test_case "equiv interface errors and budget" `Quick
-          test_equiv_interface_and_budget;
-        Alcotest.test_case "PODEM with exact engine agrees with truth" `Quick
-          test_podem_with_exact_engine ] ) ]
+          test_equiv_interface_and_budget ] ) ]

@@ -144,7 +144,9 @@ let test_checkpoint_roundtrip () =
     Alcotest.(check bool) "field mismatch caught" true
       (Robust.Checkpoint.validate ~kind:"t"
          ~expect:[ ("n", Report.Json.Int 4) ] m
-       |> Result.is_error)
+       |> Result.is_error);
+    Alcotest.(check bool) "unexpected field caught" true
+      (Robust.Checkpoint.validate ~kind:"t" ~expect:[] m |> Result.is_error)
   | Error msg -> Alcotest.failf "load failed: %s" msg);
   Alcotest.(check bool) "missing file is Error" true
     (Robust.Checkpoint.load ~path:(path ^ ".does-not-exist") |> Result.is_error)
@@ -373,11 +375,10 @@ let test_atpg_checkpoint_mismatch_raises () =
        false
      with Robust.Checkpoint.Mismatch _ -> true)
 
-(* A checkpoint from the earlier forward-only PODEM carries
-   ["engine":"podem"] where this generator writes its "generator" tag;
-   resuming it would splice another search's verdicts into the report,
-   so it must be refused. *)
-let test_atpg_checkpoint_other_generator_raises () =
+(* Save an ATPG checkpoint of [atpg_config] on rca:3, rewrite its meta
+   fields with [edit], and report whether resuming it raises
+   [Checkpoint.Mismatch]. *)
+let atpg_resume_refused_after ~edit =
   with_inject @@ fun () ->
   with_tmp @@ fun path ->
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
@@ -386,21 +387,34 @@ let test_atpg_checkpoint_other_generator_raises () =
   ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe);
   (match Robust.Checkpoint.load ~path with
   | Ok (Report.Json.Obj fields, payload) ->
-    let fields =
-      List.map
-        (function
-          | "generator", _ -> ("engine", Report.Json.String "podem")
-          | kv -> kv)
-        fields
-    in
-    Robust.Checkpoint.save ~path ~meta:(Report.Json.Obj fields) ~payload
+    Robust.Checkpoint.save ~path ~meta:(Report.Json.Obj (edit fields)) ~payload
   | Ok _ -> Alcotest.fail "checkpoint meta is not an object"
   | Error msg -> Alcotest.fail msg);
+  try
+    ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe);
+    false
+  with Robust.Checkpoint.Mismatch _ -> true
+
+(* A checkpoint from the earlier forward-only PODEM carries
+   ["engine":"podem"] where this generator writes its "generator" tag;
+   resuming it would splice another search's verdicts into the report,
+   so it must be refused. *)
+let test_atpg_checkpoint_other_generator_raises () =
   Alcotest.(check bool) "checkpoint of another generator rejected" true
-    (try
-       ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe);
-       false
-     with Robust.Checkpoint.Mismatch _ -> true)
+    (atpg_resume_refused_after
+       ~edit:
+         (List.map (function
+           | "generator", _ -> ("engine", Report.Json.String "podem")
+           | kv -> kv)))
+
+(* A meta field this run does not expect names an input it lacks (here
+   a flag that changes verdicts at low backtrack limits), so the
+   checkpoint is another computation: refused, not spliced. *)
+let test_atpg_checkpoint_unexpected_field_raises () =
+  Alcotest.(check bool) "checkpoint with an unexpected field rejected" true
+    (atpg_resume_refused_after
+       ~edit:(fun fields ->
+         fields @ [ ("use_analysis", Report.Json.Bool false) ]))
 
 let test_atpg_precancelled_counts_unknown () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
@@ -635,6 +649,8 @@ let suite =
         tc "mismatched resume raises" test_atpg_checkpoint_mismatch_raises;
         tc "other generator's checkpoint refused"
           test_atpg_checkpoint_other_generator_raises;
+        tc "unexpected checkpoint field refused"
+          test_atpg_checkpoint_unexpected_field_raises;
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
