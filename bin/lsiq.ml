@@ -24,14 +24,16 @@ let seed_arg =
   let doc = "Random seed (all simulations are deterministic in it)." in
   Arg.(value & opt int 1981 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let positive_int ~what =
+let int_at_least lo ~what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "expected %s >= 1, got %d" what n))
+    | Ok n when n >= lo -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected %s >= %d, got %d" what lo n))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive_int = int_at_least 1
 
 let domains_arg =
   let doc =
@@ -342,10 +344,12 @@ let estimate_cmd =
 
 let simulate_lot_cmd =
   let scale =
-    Arg.(value & opt int 6 & info [ "scale" ] ~docv:"S" ~doc:"lsi_chip scale.")
+    Arg.(value & opt (int_at_least 4 ~what:"an lsi_chip scale") 6
+         & info [ "scale" ] ~docv:"S" ~doc:"lsi_chip scale (at least 4).")
   in
   let chips =
-    Arg.(value & opt int 277 & info [ "chips" ] ~docv:"N" ~doc:"Lot size.")
+    Arg.(value & opt (positive_int ~what:"a lot size") 277
+         & info [ "chips" ] ~docv:"N" ~doc:"Lot size.")
   in
   let target_yield =
     Arg.(value & opt float 0.07 & info [ "target-yield" ] ~docv:"Y"

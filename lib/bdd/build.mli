@@ -9,7 +9,7 @@
     classic cheap static order; {!sift_order} optionally improves it
     by sifting (here implemented as sifting-by-rebuild: each variable
     is tried at every position and the placement minimizing the shared
-    output size is kept — quadratic in inputs, intended for bench
+    output size is kept — quadratic in inputs, intended for ordering
     ablations and small circuits, not the hot path).
 
     Fault machinery: {!detection_function} returns the Boolean
@@ -47,7 +47,7 @@ val sift_order : ?budget:int -> Circuit.Netlist.t -> int array -> int array
     node count.  Orders whose build exceeds [budget] are treated as
     infinitely bad, so the result never builds worse than [init] when
     [init] itself fits.  Returns [init] unchanged (copied) for
-    circuits with more than 24 inputs — quadratic rebuilds are a bench
+    circuits with more than 24 inputs — quadratic rebuilds are an
     ablation tool, not a production ordering engine. *)
 
 val eval_netlist :

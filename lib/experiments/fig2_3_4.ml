@@ -1,5 +1,3 @@
-let reject_rates = [ ("Fig.2", 0.01); ("Fig.3", 0.005); ("Fig.4", 0.001) ]
-
 let n0_family = List.init 12 (fun i -> float_of_int (i + 1))
 
 let series ~reject =
@@ -40,22 +38,3 @@ let render_figure ~name ~reject =
       (Printf.sprintf "%s: required coverage vs yield for r = %g (n0 = 1..12 top to bottom)"
          name reject)
     ~x_label:"yield y" ~y_label:"required fault coverage f" (series ~reject)
-
-let render () =
-  let figures =
-    List.map (fun (name, reject) -> render_figure ~name ~reject) reject_rates
-  in
-  let rows =
-    List.map
-      (fun (label, paper, ours) ->
-        [ label; Report.Table.float_cell ~decimals:3 paper;
-          Report.Table.float_cell ~decimals:3 ours;
-          Report.Table.float_cell ~decimals:3 (abs_float (paper -. ours)) ])
-      (checkpoints ())
-  in
-  String.concat "\n" figures
-  ^ "\n"
-  ^ Report.Table.render
-      ~aligns:[ Report.Table.Left; Right; Right; Right ]
-      ~headers:[ "checkpoint"; "paper"; "reproduced"; "|diff|" ]
-      rows

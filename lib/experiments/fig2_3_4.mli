@@ -2,9 +2,6 @@
     reject rates 1/100, 1/200 and 1/1000, one curve per n0 = 1..12
     (Eq. 11 inverted). *)
 
-val reject_rates : (string * float) list
-(** [("Fig.2", 0.01); ("Fig.3", 0.005); ("Fig.4", 0.001)]. *)
-
 val n0_family : float list
 (** n0 = 1..12 as in Fig. 5's family. *)
 
@@ -16,6 +13,3 @@ val checkpoints : unit -> (string * float * float) list
     Figs. 2 and 4. *)
 
 val render_figure : name:string -> reject:float -> string
-
-val render : unit -> string
-(** All three figures plus the checkpoint table. *)

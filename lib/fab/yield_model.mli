@@ -3,8 +3,8 @@
     The paper's Eq. 3 is Stapper's composite (negative-binomial) model
     [y = (1 + X D0 A)^(-1/X)] with defect density [D0], chip area [A]
     and [X] the normalized variance of [D0].  The other classical
-    models the paper cites ([7]–[12]) are provided for comparison and
-    for the ablation bench: Poisson (Price/Seeds small-lambda limit),
+    models the paper cites ([7]–[12]) are provided for comparison:
+    Poisson (Price/Seeds small-lambda limit),
     Murphy, and Seeds. *)
 
 type t = {

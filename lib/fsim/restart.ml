@@ -47,7 +47,11 @@ let payload_of ~patterns_done first_detection =
          Report.Json.List
            (Array.to_list (Array.map detection_to_json first_detection))) ] ]
 
-let restore_payload ~nf payload =
+(* A checkpoint only counts if it describes a prefix of this run:
+   [patterns_done] within the pattern set and every recorded detection
+   inside that prefix.  Anything else would splice results that were
+   never computed into the curve. *)
+let restore_payload ~nf ~np payload =
   match payload with
   | [ (Report.Json.Obj _ as state) ] ->
     let field name =
@@ -57,20 +61,31 @@ let restore_payload ~nf payload =
     in
     (match (field "patterns_done", field "first_detection") with
     | Some (Report.Json.Int patterns_done), Some (Report.Json.List dets) ->
-      if List.length dets <> nf then
+      if patterns_done < 0 || patterns_done > np then
+        Error
+          (Printf.sprintf "checkpoint patterns_done %d is outside [0, %d]"
+             patterns_done np)
+      else if List.length dets <> nf then
         Error "checkpoint first_detection length does not match fault count"
       else begin
         let first_detection = Array.make nf None in
-        let ok = ref true in
+        let bad = ref None in
         List.iteri
           (fun i d ->
             match d with
-            | Report.Json.Int v when v >= 0 -> first_detection.(i) <- Some v
-            | Report.Json.Int _ -> ()
-            | _ -> ok := false)
+            | Report.Json.Int -1 -> ()
+            | Report.Json.Int v when v >= 0 && v < patterns_done ->
+              first_detection.(i) <- Some v
+            | _ -> if !bad = None then bad := Some i)
           dets;
-        if not !ok then Error "checkpoint first_detection has non-int entries"
-        else Ok (patterns_done, first_detection)
+        match !bad with
+        | Some i ->
+          Error
+            (Printf.sprintf
+               "checkpoint first_detection[%d] is not -1 or a pattern index \
+                below patterns_done %d"
+               i patterns_done)
+        | None -> Ok (patterns_done, first_detection)
       end
     | _ -> Error "checkpoint payload is missing patterns_done/first_detection")
   | _ -> Error "checkpoint payload must be exactly one state line"
@@ -99,7 +114,7 @@ let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
              file_meta
          with
         | Error msg -> Error msg
-        | Ok () -> restore_payload ~nf payload)
+        | Ok () -> restore_payload ~nf ~np payload)
   in
   match start_state with
   | Error _ as e -> e

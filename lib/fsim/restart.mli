@@ -37,5 +37,7 @@ val run :
 (** [Error] carries an unreadable/mismatched-checkpoint message (the
     meta header records circuit, engine family, seed and sizes; all
     must match the resuming invocation — except the {!Coverage.Par}
-    domain count, which never affects results).  Raises
+    domain count, which never affects results).  The payload must also
+    describe a prefix of this run: [patterns_done] within the pattern
+    set and every recorded detection below it.  Raises
     [Invalid_argument] when [every < 1]. *)

@@ -1,6 +1,6 @@
 (** Structured run journal: typed events appended as JSONL.
 
-    The journal is the durable record of one [lsiq]/[bench] run: a
+    The journal is the durable record of one [lsiq] run: a
     [run_start] header (argv, seed, circuit, host, git revision), then
     throttled [progress] events from the hot loops, optional
     [metrics_snapshot]s, and a closing [run_end] carrying the outcome

@@ -31,11 +31,6 @@ let of_series series =
   in
   of_rows ([ "series"; "x"; "y" ] :: rows)
 
-let write_file path rows =
-  let oc = open_out path in
-  output_string oc (of_rows rows);
-  close_out oc
-
 let parse text =
   let rows = ref [] in
   let fields = ref [] in

@@ -8,7 +8,5 @@ val of_rows : string list list -> string
 val of_series : Series.t list -> string
 (** Long format: [label,x,y] per line with a header row. *)
 
-val write_file : string -> string list list -> unit
-
 val parse : string -> string list list
 (** Parse CSV text (quotes and escaped quotes honoured). *)

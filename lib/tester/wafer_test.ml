@@ -66,7 +66,7 @@ let outcome_of_json = function
   | Report.Json.List
       [ Report.Json.Int chip_id;
         Report.Json.Int fault_count;
-        Report.Json.Int ff ] ->
+        Report.Json.Int ff ] when ff >= -1 ->
     Ok { chip_id; fault_count; first_fail = (if ff >= 0 then Some ff else None) }
   | _ -> Error "checkpoint outcomes must be [chip_id; faults; first_fail] ints"
 
@@ -76,25 +76,54 @@ let lot_payload ~dies_done tested_rev =
         ("outcomes", Report.Json.List (List.rev_map outcome_to_json tested_rev))
       ] ]
 
-(* Returns (dies_done, outcomes newest-first). *)
-let lot_restore payload =
+(* Returns (dies_done, outcomes newest-first).  A checkpoint only counts
+   if it describes a prefix of this lot under this program: at most the
+   lot's dies, outcome [i] belongs to die [i] (same chip id and fault
+   count), and every first failure is a pattern the program has.
+   Anything else would report escapes and failures that never
+   happened. *)
+let lot_restore ~pattern_count (lot : Fab.Lot.t) payload =
+  let n = Array.length lot.Fab.Lot.chips in
+  let check i o =
+    let chip = lot.Fab.Lot.chips.(i) in
+    if o.chip_id <> chip.Fab.Lot.chip_id then
+      Error
+        (Printf.sprintf "checkpoint outcome %d has chip_id %d, expected %d" i
+           o.chip_id chip.Fab.Lot.chip_id)
+    else if o.fault_count <> Array.length chip.Fab.Lot.fault_indices then
+      Error
+        (Printf.sprintf "checkpoint outcome %d has %d faults, the die has %d" i
+           o.fault_count (Array.length chip.Fab.Lot.fault_indices))
+    else
+      match o.first_fail with
+      | Some ff when ff >= pattern_count ->
+        Error
+          (Printf.sprintf
+             "checkpoint outcome %d fails at pattern %d of a %d-pattern program"
+             i ff pattern_count)
+      | _ -> Ok o
+  in
   match payload with
   | [ Report.Json.Obj kvs ] ->
     (match
        (List.assoc_opt "dies_done" kvs, List.assoc_opt "outcomes" kvs)
      with
+    | Some (Report.Json.Int dies_done), Some (Report.Json.List _)
+      when dies_done < 0 || dies_done > n ->
+      Error
+        (Printf.sprintf "checkpoint dies_done %d is outside [0, %d]" dies_done n)
     | Some (Report.Json.Int dies_done), Some (Report.Json.List outs)
       when List.length outs = dies_done ->
       List.fold_left
         (fun acc o ->
           match acc with
           | Error _ as e -> e
-          | Ok rev ->
-            (match outcome_of_json o with
-            | Ok o -> Ok (o :: rev)
+          | Ok (i, rev) ->
+            (match Result.bind (outcome_of_json o) (check i) with
+            | Ok o -> Ok (i + 1, o :: rev)
             | Error _ as e -> e))
-        (Ok []) outs
-      |> Result.map (fun rev -> (dies_done, rev))
+        (Ok (0, [])) outs
+      |> Result.map (fun (_, rev) -> (dies_done, rev))
     | Some (Report.Json.Int _), Some (Report.Json.List _) ->
       Error "checkpoint outcome count does not match dies_done"
     | _ -> Error "checkpoint payload is missing dies_done/outcomes")
@@ -122,7 +151,9 @@ let test_lot_restart ?(mode = Table_lookup) ?(cancel = Robust.Cancel.none)
            Robust.Checkpoint.validate ~kind:lot_kind ~expect:fields file_meta
          with
         | Error _ as e -> e
-        | Ok () -> lot_restore payload)
+        | Ok () ->
+          lot_restore ~pattern_count:(Pattern_set.pattern_count program) lot
+            payload)
   in
   match start with
   | Error _ as e -> e

@@ -11,7 +11,8 @@
       assumption behind the paper's urn model).  O(1) per chip fault.
     - {!Exact_multifault}: the chip's complete fault set is injected
       simultaneously and simulated, so masking between coexisting
-      faults is honoured.  The ablation bench compares the two. *)
+      faults is honoured.  Ablation C of [lsiq experiments ablation]
+      compares the two. *)
 
 type mode = Table_lookup | Exact_multifault
 
@@ -66,7 +67,10 @@ val test_lot_restart :
     failpoint fires after each periodic save — the crash-recovery smoke
     kills there.  [Error] carries an unreadable/mismatched-checkpoint
     message (the meta header fingerprints circuit, universe and lot
-    sizes, total injected faults, pattern count and tester mode).
+    sizes, total injected faults, pattern count and tester mode; the
+    payload must be a prefix of this lot — no more dies than it has,
+    outcome [i] carrying die [i]'s chip id and fault count, and every
+    first failure inside the program).
     Raises [Invalid_argument] as {!test_lot}, or when [every < 1]. *)
 
 val result_of_run : Pattern_set.t -> Fab.Lot.t -> lot_run -> result

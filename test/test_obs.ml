@@ -115,6 +115,15 @@ let test_metrics_snapshot_json () =
       (List.map fst fields)
   | Ok _ -> Alcotest.fail "snapshot is not an object"
 
+let check_spans_present names =
+  List.iter (fun required ->
+      Alcotest.(check bool) (required ^ " present") true (List.mem required names))
+
+let check_metrics_counted =
+  List.iter (fun metric ->
+      Alcotest.(check bool) (metric ^ " counted") true
+        (match Obs.Metrics.value metric with Some v -> v > 0.0 | None -> false))
+
 let tiny_circuit () =
   Circuit.Generators.random_circuit ~inputs:10 ~gates:120 ~outputs:6 ~seed:3
 
@@ -128,16 +137,46 @@ let test_par_trace_has_shard_spans () =
     Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:5 ()) circuit ~count:64
   in
   with_obs @@ fun () ->
+  ignore (Analysis.Engine.build ~learn_depth:(Some 1) circuit);
   ignore (Fsim.Par.run ~domains:2 circuit universe patterns);
+  ignore (Fsim.Par.run_counts ~domains:2 ~n:2 circuit universe patterns);
   let names = span_names () in
+  check_spans_present names
+    [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]";
+      "fsim.ndetect.par"; "fsim.ndetect.par.prepare";
+      "fsim.ndetect.par.shard[0]"; "fsim.ndetect.par.shard[1]";
+      "analysis.build"; "analysis.dominators"; "analysis.implications";
+      "analysis.prob.signal"; "analysis.prob.observability" ];
+  check_metrics_counted
+    [ "fsim.par.fault_evals"; "fsim.ndetect.par.fault_evals";
+      "analysis.prob.nodes"; "analysis.prob.cut_stems" ];
+  (* Exact (BDD) analysis only runs when asked for: the default engine
+     build must leave no trace of it. *)
   List.iter
-    (fun required ->
-      Alcotest.(check bool) (required ^ " present") true (List.mem required names))
-    [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]" ];
-  let tids =
-    List.sort_uniq compare (List.map (fun s -> s.Obs.Trace.tid) (Obs.Trace.spans ()))
+    (fun name ->
+      Alcotest.(check bool) (name ^ " absent") false
+        (String.starts_with ~prefix:"analysis.bdd." name))
+    names;
+  List.iter
+    (fun metric ->
+      Alcotest.(check bool) (metric ^ " absent") true
+        (Obs.Metrics.value metric = None))
+    [ "analysis.bdd.nodes"; "analysis.bdd.cache_lookups";
+      "analysis.bdd.budget_fallbacks" ];
+  (* Domain ids are dense in order of first appearance: the first
+     2-domain grading gets 0 and 1, the n-detect grading's fresh worker
+     domain the next id. *)
+  let tids ~prefix =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun s ->
+           if String.starts_with ~prefix s.Obs.Trace.name then Some s.Obs.Trace.tid
+           else None)
+         (Obs.Trace.spans ()))
   in
-  Alcotest.(check (list int)) "two dense domain ids" [ 0; 1 ] tids;
+  Alcotest.(check (list int)) "fsim.par on two dense domain ids" [ 0; 1 ]
+    (tids ~prefix:"fsim.par");
+  Alcotest.(check (list int)) "all domain ids dense" [ 0; 1; 2 ] (tids ~prefix:"");
   (* The trace export must itself be valid JSON that our parser accepts. *)
   match Report.Json.parse (Report.Json.to_string (Obs.Trace.to_chrome_json ())) with
   | Error message -> Alcotest.failf "chrome trace does not parse: %s" message
@@ -145,6 +184,20 @@ let test_par_trace_has_shard_spans () =
     Alcotest.(check bool) "has traceEvents" true
       (List.mem_assoc "traceEvents" fields)
   | Ok _ -> Alcotest.fail "chrome trace is not an object"
+
+(* The mirror image of the absence checks above: exact analysis and an
+   equivalence check emit every analysis.bdd.* span and metric, and the
+   default budget classifies c17 without falling back. *)
+let test_bdd_trace_present_under_exact () =
+  let c = Circuit.Generators.c17 () in
+  with_obs @@ fun () ->
+  ignore (Analysis.Exact.analyze ~budget:Analysis.Exact.default_budget c);
+  ignore (Bdd.Equiv.check c c);
+  check_spans_present (span_names ())
+    [ "analysis.bdd.build"; "analysis.bdd.redundancy"; "analysis.bdd.equiv" ];
+  check_metrics_counted [ "analysis.bdd.nodes"; "analysis.bdd.cache_lookups" ];
+  Alcotest.(check (option (float 0.0))) "no budget fallbacks" (Some 0.0)
+    (Obs.Metrics.value "analysis.bdd.budget_fallbacks")
 
 (* Acceptance: span tree *shape* (names and nesting; timestamps and
    counters ignored) must be identical across runs of the same seeded
@@ -409,86 +462,6 @@ let test_disabled_progress_allocates_nothing () =
     (Printf.sprintf "no per-step allocation (delta %.0f words)" delta)
     true (delta < 64.0)
 
-(* ----------------------------- history ----------------------------- *)
-
-let bench_doc ?(cores = 4) ~min_s ~coverage () =
-  Report.Json.Obj
-    [ ( "host",
-        Report.Json.Obj
-          [ ("cores", Report.Json.Int cores);
-            ("ocaml_version", Report.Json.String "5.1.1");
-            ("word_size", Report.Json.Int 64) ] );
-      ( "runs",
-        Report.Json.List
-          [ Report.Json.Obj
-              [ ("engine", Report.Json.String "ppsfp");
-                ("domains", Report.Json.Int 1);
-                ("min_s", Report.Json.Float min_s);
-                ("faults", Report.Json.Int 100);
-                ("patterns", Report.Json.Int 64) ] ] );
-      ( "ndetect",
-        Report.Json.List
-          [ Report.Json.Obj
-              [ ("n", Report.Json.Int 1);
-                ("min_s", Report.Json.Float 0.01);
-                ("coverage", Report.Json.Float coverage) ] ] ) ]
-
-let test_history_compare () =
-  let doc = bench_doc ~min_s:0.01 ~coverage:0.95 () in
-  (* Identical documents: nothing regresses. *)
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:doc () in
-  Alcotest.(check bool) "rows non-empty" true (rows <> []);
-  Alcotest.(check int) "identical docs clean" 0
-    (List.length (Obs.History.regressions rows));
-  (* A 5x slowdown well past the absolute floor regresses, by name. *)
-  let slow = bench_doc ~min_s:0.05 ~coverage:0.95 () in
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:slow () in
-  (match Obs.History.regressions rows with
-  | [ r ] ->
-    Alcotest.(check string) "block named" "runs/ppsfp@d1" r.Obs.History.r_block;
-    Alcotest.(check string) "metric named" "min_s" r.Obs.History.r_name;
-    Alcotest.(check bool) "verdict Slower" true
-      (r.Obs.History.r_verdict = Obs.History.Slower)
-  | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
-  (* Same ratio on a sub-floor block: timing noise, not a regression. *)
-  let tiny = bench_doc ~min_s:0.0002 ~coverage:0.95 () in
-  let tiny_slow = bench_doc ~min_s:0.001 ~coverage:0.95 () in
-  let rows = Obs.History.compare_docs ~baseline:tiny ~current:tiny_slow () in
-  Alcotest.(check int) "sub-floor jitter tolerated" 0
-    (List.length (Obs.History.regressions rows));
-  (* Exact metrics flag on any change. *)
-  let drift = bench_doc ~min_s:0.01 ~coverage:0.951 () in
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:drift () in
-  match Obs.History.regressions rows with
-  | [ r ] ->
-    Alcotest.(check string) "coverage block" "ndetect/n=1" r.Obs.History.r_block;
-    Alcotest.(check bool) "verdict Changed" true
-      (r.Obs.History.r_verdict = Obs.History.Changed)
-  | rs -> Alcotest.failf "expected 1 changed metric, got %d" (List.length rs)
-
-let test_history_append_load () =
-  let path = Filename.temp_file "lsiq_history" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Sys.remove path;
-  (match Obs.History.load path with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "missing file should be an empty history"
-  | Error message -> Alcotest.failf "missing file errored: %s" message);
-  let doc1 = bench_doc ~min_s:0.01 ~coverage:0.95 () in
-  let doc2 = bench_doc ~min_s:0.02 ~coverage:0.95 () in
-  Obs.History.append ~path (Obs.History.entry ~time_unix:1.0 doc1);
-  Obs.History.append ~path (Obs.History.entry ~time_unix:2.0 doc2);
-  match Obs.History.load path with
-  | Error message -> Alcotest.failf "history does not load: %s" message
-  | Ok entries ->
-    Alcotest.(check int) "two entries" 2 (List.length entries);
-    let docs = List.filter_map Obs.History.doc_of_entry entries in
-    Alcotest.(check bool) "docs survive the round-trip" true
-      (docs = [ doc1; doc2 ]);
-    Alcotest.(check string) "host key" "cores=4 ocaml=5.1.1 word=64"
-      (Obs.History.host_key doc1)
-
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "obs",
@@ -499,6 +472,7 @@ let suite =
         tc "metrics kinds" test_metrics_kinds;
         tc "metrics snapshot json" test_metrics_snapshot_json;
         tc "par trace has shard spans" test_par_trace_has_shard_spans;
+        tc "bdd trace present under exact" test_bdd_trace_present_under_exact;
         tc "tree shape deterministic" test_tree_shape_deterministic;
         tc "clock never backwards" test_clock_never_backwards;
         tc "histogram quantile edges" test_histogram_quantile_edges;
@@ -508,6 +482,4 @@ let suite =
         tc "journal file roundtrip" test_journal_file_roundtrip;
         tc "journal progress deterministic" test_journal_progress_deterministic;
         tc "disabled progress allocates nothing"
-          test_disabled_progress_allocates_nothing;
-        tc "history compare" test_history_compare;
-        tc "history append load" test_history_append_load ] ) ]
+          test_disabled_progress_allocates_nothing ] ) ]

@@ -227,6 +227,47 @@ let test_restart_mismatch_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resume with a different pattern count must be rejected"
 
+(* Rewrite the single payload line of the checkpoint at [path] with
+   [edit] applied to its fields, keeping the meta header: the identity
+   still matches, only the recorded progress is corrupt. *)
+let corrupt_payload path ~edit =
+  match Robust.Checkpoint.load ~path with
+  | Ok (meta, [ Report.Json.Obj state ]) ->
+    Robust.Checkpoint.save ~path ~meta ~payload:[ Report.Json.Obj (edit state) ]
+  | Ok _ -> Alcotest.fail "checkpoint payload is not one object"
+  | Error msg -> Alcotest.fail msg
+
+let set_field key v = List.map (fun (k, x) -> if k = key then (k, v) else (k, x))
+
+let edit_list key f =
+  List.map (function
+    | k, Report.Json.List l when k = key -> (k, Report.Json.List (f l))
+    | kv -> kv)
+
+let edit_nth i f = List.mapi (fun j x -> if j = i then f x else x)
+
+(* Grade the rig to completion with a checkpoint, corrupt the payload
+   with [edit], and report whether resuming it is refused. *)
+let fsim_resume_refused_after ~edit =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c, universe, patterns = Lazy.force fsim_rig in
+  (match Fsim.Restart.run ~every:64 ~checkpoint:path ~seed:42 c universe patterns with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "fresh run failed: %s" msg);
+  corrupt_payload path ~edit;
+  Result.is_error
+    (Fsim.Restart.run ~every:64 ~resume:true ~checkpoint:path ~seed:42 c universe
+       patterns)
+
+let fsim_corruptions =
+  [ ("patterns_done past the run refused",
+     set_field "patterns_done" (Report.Json.Int 100_000));
+    ("negative patterns_done refused",
+     set_field "patterns_done" (Report.Json.Int (-64)));
+    ("detection past patterns_done refused",
+     edit_list "first_detection" (edit_nth 0 (Fun.const (Report.Json.Int 5000)))) ]
+
 let test_par_shard_retry_recovers () =
   with_inject @@ fun () ->
   with_metrics @@ fun () ->
@@ -501,6 +542,50 @@ let test_lot_cancelled_prefix_durable () =
     Alcotest.(check bool) "resume of cancelled run is bit-identical" true
       (Tester.Wafer_test.result_of_run program lot run = baseline)
 
+(* Test the whole lot with a checkpoint, corrupt the payload with
+   [edit], and report whether resuming it is refused. *)
+let lot_resume_refused_after ~edit =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c, universe, program, lot = Lazy.force lot_rig in
+  (match
+     Tester.Wafer_test.test_lot_restart ~checkpoint:path c universe program lot
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "fresh run failed: %s" msg);
+  corrupt_payload path ~edit;
+  Result.is_error
+    (Tester.Wafer_test.test_lot_restart ~resume:true ~checkpoint:path c universe
+       program lot)
+
+(* Apply [f] to field [k] (0 = chip_id, 1 = faults, 2 = first_fail) of
+   serialized outcome [i]. *)
+let edit_outcome i k f =
+  edit_list "outcomes"
+    (edit_nth i (function
+      | Report.Json.List fields -> Report.Json.List (edit_nth k f fields)
+      | other -> other))
+
+let lot_corruptions =
+  [ ("more dies than the lot refused",
+     fun state ->
+       state
+       |> set_field "dies_done" (Report.Json.Int 205)
+       |> edit_list "outcomes" (fun outs ->
+              outs
+              @ List.init 5 (fun i ->
+                    Report.Json.List
+                      [ Report.Json.Int (200 + i); Report.Json.Int 3;
+                        Report.Json.Int (-1) ])));
+    ("outcome of another chip refused",
+     edit_outcome 3 0 (Fun.const (Report.Json.Int 7)));
+    ("outcome fault count mismatch refused",
+     edit_outcome 0 1 (function
+       | Report.Json.Int n -> Report.Json.Int (n + 1)
+       | other -> other));
+    ("first_fail past the program refused",
+     edit_outcome 0 2 (Fun.const (Report.Json.Int 99_999))) ]
+
 (* ------------------------------------------------------------------ *)
 (* Journal under failure                                               *)
 
@@ -624,6 +709,12 @@ let test_bench_const_roundtrip_still_parses () =
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
+  (* One case per corruption: resuming from it must be refused. *)
+  let refused resume_refused_after =
+    List.map (fun (name, edit) ->
+        tc name (fun () ->
+            Alcotest.(check bool) name true (resume_refused_after ~edit)))
+  in
   [ ( "robust.cancel",
       [ tc "token basics" test_cancel_basics;
         tc "deadline trips" test_cancel_deadline_trips ] );
@@ -642,7 +733,8 @@ let suite =
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
         tc "cancelled profile is empty prefix" test_fsim_cancelled_partial_profile;
         tc "par cancelled mid-run keeps common prefix"
-          test_par_cancelled_midrun_keeps_common_prefix ] );
+          test_par_cancelled_midrun_keeps_common_prefix ]
+      @ refused fsim_resume_refused_after fsim_corruptions );
     ( "robust.atpg",
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
         tc "checkpoint resume bit-identical" test_atpg_checkpoint_resume_bit_identical;
@@ -654,7 +746,8 @@ let suite =
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
-        tc "cancelled prefix durable" test_lot_cancelled_prefix_durable ] );
+        tc "cancelled prefix durable" test_lot_cancelled_prefix_durable ]
+      @ refused lot_resume_refused_after lot_corruptions );
     ( "robust.journal",
       [ tc "interrupted roundtrip" test_journal_interrupted_roundtrip;
         tc "run_end survives sink failure" test_journal_run_end_survives_sink_failure ] );
