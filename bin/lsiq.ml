@@ -35,6 +35,17 @@ let int_at_least lo ~what =
 
 let positive_int = int_at_least 1
 
+(* A probability strictly inside (0, 1), e.g. a yield to calibrate a
+   defect density to. *)
+let open_probability ~what =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok p when p > 0.0 && p < 1.0 -> Ok p
+    | Ok p -> Error (`Msg (Printf.sprintf "expected %s in (0, 1), got %g" what p))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let domains_arg =
   let doc =
     "Shard fault simulation across $(docv) OCaml domains (the multicore PPSFP \
@@ -352,8 +363,9 @@ let simulate_lot_cmd =
          & info [ "chips" ] ~docv:"N" ~doc:"Lot size.")
   in
   let target_yield =
-    Arg.(value & opt float 0.07 & info [ "target-yield" ] ~docv:"Y"
-           ~doc:"Process yield to calibrate the line to.")
+    Arg.(value & opt (open_probability ~what:"a target yield") 0.07
+         & info [ "target-yield" ] ~docv:"Y"
+             ~doc:"Process yield to calibrate the line to, in (0, 1).")
   in
   let clustered =
     Arg.(value & flag & info [ "clustered" ]
@@ -777,8 +789,8 @@ let compact_cmd =
 
 let stafan_cmd =
   let patterns_count =
-    Arg.(value & opt int 128 & info [ "n"; "patterns" ] ~docv:"N"
-           ~doc:"Random patterns to analyze.")
+    Arg.(value & opt (positive_int ~what:"a pattern count") 128
+         & info [ "n"; "patterns" ] ~docv:"N" ~doc:"Random patterns to analyze.")
   in
   let action circuit count seed =
     let rng = Stats.Rng.create ~seed () in
@@ -818,7 +830,8 @@ let sample_cmd =
     Arg.(value & opt int 128 & info [ "n"; "patterns" ] ~docv:"N" ~doc:"Patterns.")
   in
   let sample_size =
-    Arg.(value & opt int 500 & info [ "sample" ] ~docv:"K" ~doc:"Fault sample size.")
+    Arg.(value & opt (positive_int ~what:"a fault sample size") 500
+         & info [ "sample" ] ~docv:"K" ~doc:"Fault sample size.")
   in
   let collapse_dominance =
     Arg.(value & flag & info [ "collapse-dominance" ]
@@ -1669,11 +1682,13 @@ let report_cmd =
 
 let wafer_cmd =
   let diameter =
-    Arg.(value & opt int 25 & info [ "diameter" ] ~docv:"D" ~doc:"Wafer width in dies.")
+    Arg.(value & opt (int_at_least 3 ~what:"a wafer diameter") 25
+         & info [ "diameter" ] ~docv:"D" ~doc:"Wafer width in dies (at least 3).")
   in
   let target_yield =
-    Arg.(value & opt float 0.5 & info [ "target-yield" ] ~docv:"Y"
-           ~doc:"Disc-average yield to calibrate to.")
+    Arg.(value & opt (open_probability ~what:"a target yield") 0.5
+         & info [ "target-yield" ] ~docv:"Y"
+             ~doc:"Disc-average yield to calibrate to, in (0, 1).")
   in
   let action diameter target_yield seed =
     let rng = Stats.Rng.create ~seed () in

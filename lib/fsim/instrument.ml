@@ -28,6 +28,14 @@ let count_fault_evals ~engine n =
       Obs.Metrics.incr ~by:(float_of_int n) ("fsim." ^ engine ^ ".fault_evals")
   end
 
+let count_root_propagations ~engine n =
+  if n > 0 then begin
+    Obs.Trace.add_int "root_propagations" n;
+    if Obs.Metrics.enabled () then
+      Obs.Metrics.incr ~by:(float_of_int n)
+        ("fsim." ^ engine ^ ".root_propagations")
+  end
+
 let grading_run ~name ?n ~faults ~patterns f =
   match n with
   | None -> engine_run ~engine:name ~faults ~patterns (fun () -> f ~engine:name ~n:1)

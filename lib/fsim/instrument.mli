@@ -3,7 +3,8 @@
     All engines report through the same span/metric vocabulary so
     traces of different engines line up: a ["fsim.<engine>"] span with
     [faults]/[patterns] counters, and ["fsim.<engine>.runs"],
-    [".patterns"], [".patterns_per_sec"] and [".fault_evals"] metrics.
+    [".patterns"], [".patterns_per_sec"] and [".fault_evals"] metrics
+    (plus [".root_propagations"] from the PPSFP kernel).
     Everything is a no-op (one atomic load) while both {!Obs.Trace}
     and {!Obs.Metrics} are disabled. *)
 
@@ -41,3 +42,9 @@ val count_fault_evals : engine:string -> int -> unit
     one pattern block, or one live fault carried through one pattern)
     onto the current span and the engine's metric counter.  Call at
     batch granularity, gated on {!observing}. *)
+
+val count_root_propagations : engine:string -> int -> unit
+(** Record [n] fanout-free-region root propagations (one root's flip
+    carried through its cone for one pattern block) onto the current
+    span and the ["fsim.<engine>.root_propagations"] counter.  Same
+    gating as {!count_fault_evals}. *)

@@ -1,13 +1,39 @@
-(** Parallel-pattern single-fault propagation (PPSFP) fault simulation.
+(** Parallel-pattern single-fault propagation (PPSFP) fault simulation
+    over fanout-free regions.
 
-    For each 64-pattern block the good machine is simulated once; each
-    live fault is then propagated only through its fanout cone, level by
-    level, with copy-on-write faulty values.  A fault whose effect dies
-    out is abandoned early, and dropped faults skip later blocks.  One
-    block loop ({!grade_range}) serves first detection, n-detection and
-    every {!Par} shard; results are byte-identical to {!Serial}
-    (differential-tested), at a fraction of the cost on large
-    circuits. *)
+    A node is a fanout-free-region (FFR) root when its fanout, counted
+    in pins (a gate fed twice by one node counts twice), is not exactly
+    1, or when it is a primary output.  Every other node feeds exactly
+    one pin, so the nodes that reach a root only through single-fanout
+    nodes form its region, a tree.  For each 64-pattern block the good
+    machine is simulated once, then:
+
+    + each live fault's effect is walked along its single path to its
+      root with every side input at its good value, giving a local
+      difference mask [D];
+    + each root that some live fault reaches with [D <> 0] is flipped
+      once, on the union of those masks, and the flip is carried level
+      by level through the root's fanout cone, giving the root's
+      observability mask [O];
+    + a fault is detected on [D land O].
+
+    This is exact in two-valued simulation (Antreich & Schulz, IEEE
+    TCAD 1987; Maamari & Rajski, IEEE TCAD 1990): every path from a
+    fault inside an FFR to an output passes through the root, and no
+    node inside an FFR is an output, so the faulty circuit differs from
+    the good one inside the region only along the walked path, and
+    beyond it only as a function of the root's value.  A fault whose
+    effect dies on the way is abandoned early, and dropped faults skip
+    later blocks.  The kernel allocates nothing per fault evaluation
+    (only a recorded detection reaches the heap): faulty
+    values, root masks and local masks live in [Bigarray] int64 stores
+    (8 B per node each for the first two, 8 B per fault of the range
+    for the third), and scheduled nodes in one int array of per-level
+    stacks.
+
+    One block loop ({!grade_range}) serves first detection,
+    n-detection and every {!Par} shard; results are byte-identical to
+    {!Serial} (differential-tested). *)
 
 type grading = {
   detections : int array;
@@ -30,8 +56,9 @@ val grade :
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> grading
 (** Grade every fault.  Without [n], first detection (reported as
     engine ["ppsfp"]); with [n], n-detection (["ndetect.ppsfp"]).
-    [cancel] is polled per 64-pattern block; after it fires no further
-    block is graded.  Raises [Invalid_argument] when [n < 1]. *)
+    [cancel] is polled per 64-pattern block and every 256 root
+    propagations; a block it cuts is not graded, nor is any later one.
+    Raises [Invalid_argument] when [n < 1]. *)
 
 val run :
   ?cancel:Robust.Cancel.t ->
@@ -85,9 +112,13 @@ val grade_range :
     [lo, hi) with the drop-after-n policy, writing only their slots of
     [detections]/[nth], and returns the number of patterns graded (a
     block prefix; short of the total only when [cancel] fired).  Fault
-    evaluations count under [engine]; [progress] steps once per block.
-    A block's [good] is called only while faults of the range are
-    alive. *)
+    evaluations and root propagations count under [engine], and each
+    block graded with live faults records the spans
+    ["fsim.<engine>.goodsim"], [".local"] and [".roots"] (the three
+    steps above, detection aside); [progress] steps once per graded
+    block.  A block's [good] is called only while faults of the range
+    are alive.  Raises [Invalid_argument] when a fault of the range
+    names no node of the circuit, or a pin its gate does not have. *)
 
 val lowest_set_bit : int64 -> int
 (** Index of the lowest set bit (constant time; raises

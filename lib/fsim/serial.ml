@@ -98,8 +98,10 @@ let grade ?(cancel = Robust.Cancel.none) ?n c faults patterns =
         end
       end;
       block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      if not !stopped then graded := !block_start;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
+      if not !stopped then begin
+        graded := !block_start;
+        Obs.Progress.step progress block.Logicsim.Packed.pattern_count
+      end)
     blocks;
   Obs.Progress.finish progress;
   { Ppsfp.detections; nth; graded = !graded }

@@ -404,6 +404,7 @@ let render_summary events =
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let n_start = ref 0 and n_progress = ref 0 in
   let n_metrics = ref 0 and n_end = ref 0 in
+  let last_metrics = ref (Report.Json.Obj []) in
   (* last progress event per (label, task), insertion-ordered *)
   let tasks : ((string * int) * (int * int option * float)) list ref =
     ref []
@@ -437,7 +438,9 @@ let render_summary events =
                 if k = key then (k, (items, total, rate)) else (k, v))
               !tasks
         else tasks := !tasks @ [ (key, (items, total, rate)) ]
-      | Metrics_snapshot _ -> Stdlib.incr n_metrics
+      | Metrics_snapshot { metrics; _ } ->
+        Stdlib.incr n_metrics;
+        last_metrics := metrics
       | Run_end { t_s; outcome; results } ->
         Stdlib.incr n_end;
         (match outcome with
@@ -473,6 +476,44 @@ let render_summary events =
         else addf "  %-24s %d items across %d tasks\n" label sum n)
       !by_label
   end;
+  (* Fault-simulation kernel work from the last metrics snapshot: per
+     engine, fanout-free-region root propagations per fault eval. *)
+  (match !last_metrics with
+  | Report.Json.Obj fields ->
+    let counter name =
+      match List.assoc_opt name fields with
+      | Some (Report.Json.Obj m) -> (
+        match List.assoc_opt "value" m with
+        | Some (Report.Json.Float v) -> Some v
+        | _ -> None)
+      | _ -> None
+    in
+    let suffix = ".root_propagations" in
+    let kernels =
+      List.filter_map
+        (fun (name, _) ->
+          if String.starts_with ~prefix:"fsim." name
+             && String.ends_with ~suffix name
+          then
+            let engine =
+              String.sub name 0 (String.length name - String.length suffix)
+            in
+            match (counter name, counter (engine ^ ".fault_evals")) with
+            | Some roots, Some evals when evals > 0.0 ->
+              Some (engine, roots, evals)
+            | _ -> None
+          else None)
+        fields
+    in
+    if kernels <> [] then begin
+      addf "kernel:\n";
+      List.iter
+        (fun (engine, roots, evals) ->
+          addf "  %-24s %.0f root propagations / %.0f fault evals = %.3f per fault eval\n"
+            engine roots evals (roots /. evals))
+        kernels
+    end
+  | _ -> ());
   addf "events: %d (%d run_start, %d progress, %d metrics_snapshot, %d run_end)\n"
     (!n_start + !n_progress + !n_metrics + !n_end)
     !n_start !n_progress !n_metrics !n_end;

@@ -109,5 +109,7 @@ val read_file : string -> (event list, string) result
 
 val render_summary : event list -> string
 (** Human-readable digest of one journal: command line, host, outcome,
-    headlines, per-task progress totals and an event census — what
+    headlines, per-task progress totals, the fault-simulation kernel's
+    root propagations per fault eval (from the last metrics snapshot,
+    per engine that counted both) and an event census — what
     [lsiq report] prints. *)

@@ -82,7 +82,10 @@ let ckpt_payload ~processed ~untestable ~aborted ~first_detection ~extra_rev =
         ("extra", Report.Json.List (List.rev_map pattern_to_json extra_rev)) ]
   ]
 
-let ckpt_restore ~nf payload =
+(* Decode a checkpoint payload of a run with [nf] faults, [targets]
+   deterministic targets and [base] random-phase patterns, refusing
+   counts and detection indices that this run could not have saved. *)
+let ckpt_restore ~nf ~targets ~base payload =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   match payload with
   | [ Report.Json.Obj kvs ] ->
@@ -127,6 +130,26 @@ let ckpt_restore ~nf payload =
           (Ok []) l
         |> Result.map (fun rev -> Array.of_list (List.rev rev))
       | _ -> Error "checkpoint is missing extra patterns"
+    in
+    let patterns = base + Array.length extra in
+    let* () =
+      if ck_processed < 0 || ck_processed > targets then
+        Error
+          (Printf.sprintf "checkpoint processed %d targets, outside [0, %d]"
+             ck_processed targets)
+      else if ck_untestable < 0 || ck_aborted < 0
+              || ck_untestable + ck_aborted > ck_processed then
+        Error
+          (Printf.sprintf
+             "checkpoint counts %d untestable + %d aborted of %d processed"
+             ck_untestable ck_aborted ck_processed)
+      else if Array.exists
+                (function Some d -> d >= patterns | None -> false)
+                ck_first_detection then
+        Error
+          (Printf.sprintf "checkpoint detection index is not below its %d patterns"
+             patterns)
+      else Ok ()
     in
     Ok
       { ck_processed; ck_untestable; ck_aborted; ck_first_detection;
@@ -220,7 +243,9 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
                file_meta
            with
           | Error _ as e -> e
-          | Ok () -> ckpt_restore ~nf:total payload)
+          | Ok () ->
+            ckpt_restore ~nf:total ~targets:(List.length remaining_order) ~base
+              payload)
       in
       match state with
       | Error msg -> raise (Robust.Checkpoint.Mismatch msg)

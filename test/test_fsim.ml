@@ -721,6 +721,151 @@ let qcheck_props =
         let patterns = random_patterns ~seed:(gates + domains) ~count c in
         Fsim.Par.run ~domains c universe patterns = Fsim.Ppsfp.run c universe patterns) ]
 
+(* ------------------------------------------------------------------ *)
+(* Fanout-free-region edge cases                                       *)
+
+(* The PPSFP kernel walks each fault to its fanout-free-region root and
+   propagates each root once per block, so these hand-built circuits
+   pin the root definition (fanout not exactly one pin, or a primary
+   output): every engine must agree with Serial on the whole universe,
+   stems and branches, at n = 1 and n = 3, over three blocks. *)
+module G = Circuit.Gate
+
+let build_circuit name f =
+  let b = N.Builder.create ~name in
+  let input = N.Builder.add_input b in
+  let gate ?name kind fanins = N.Builder.add_gate b ?name kind fanins in
+  f ~input ~gate ~output:(N.Builder.mark_output b);
+  N.Builder.build b
+
+let check_ffr_against_serial c =
+  let universe = Faults.Universe.all c in
+  let patterns = random_patterns ~seed:23 ~count:150 c in
+  List.iter
+    (fun n ->
+      let reference = Fsim.Serial.run_counts ~n c universe patterns in
+      let engines =
+        ("ppsfp", Fsim.Ppsfp.run_counts ~n c universe patterns)
+        :: List.map
+             (fun domains ->
+               ( Printf.sprintf "par(%d)" domains,
+                 Fsim.Par.run_counts ~domains ~n c universe patterns ))
+             [ 1; 2; 3; 4 ]
+      in
+      List.iter
+        (fun (name, (detections, nth)) ->
+          Array.iteri
+            (fun i fault ->
+              if detections.(i) <> (fst reference).(i) || nth.(i) <> (snd reference).(i)
+              then
+                Alcotest.failf "%s: %s diverges from serial at n=%d" name
+                  (F.to_string c fault) n)
+            universe)
+        engines)
+    [ 1; 3 ]
+
+let test_ffr_gate_fed_twice () =
+  check_ffr_against_serial
+  @@ build_circuit "fed_twice" (fun ~input ~gate ~output ->
+         let a = input "a" and b = input "b" and c = input "c" and d = input "d" in
+         (* Each of a, b and h feeds nothing but two pins of one gate:
+            one gate, two pins, so each is a root. *)
+         output (gate G.Or [ gate G.And [ a; a ]; c ]);
+         output (gate G.Or [ gate G.Xor [ b; b ]; d ]);
+         let h = gate G.Or [ c; d ] in
+         output (gate G.And [ gate G.Nand [ h; h ]; c ]))
+
+let test_ffr_output_that_fans_out () =
+  check_ffr_against_serial
+  @@ build_circuit "po_fanout" (fun ~input ~gate ~output ->
+         let a = input "a" and b = input "b" and c = input "c" in
+         (* A primary output feeding two gates... *)
+         let g1 = gate G.And [ a; b ] in
+         output g1;
+         output (gate G.Or [ g1; c ]);
+         output (gate G.Not [ g1 ]);
+         (* ...and one feeding exactly one pin, through a gate that can
+            block it: still a root, observed where it is. *)
+         let g2 = gate G.Nand [ b; c ] in
+         output g2;
+         output (gate G.And [ g2; a ]))
+
+let test_ffr_output_mid_buffer_chain () =
+  check_ffr_against_serial
+  @@ build_circuit "po_mid_chain" (fun ~input ~gate ~output ->
+         let a = input "a" and b = input "b" and c = input "c" in
+         let head = gate G.And [ a; b ] in
+         let b1 = gate G.Buf [ head ] in
+         let b2 = gate G.Buf [ b1 ] in
+         output b2;
+         let b3 = gate G.Buf [ b2 ] in
+         let b4 = gate G.Not [ b3 ] in
+         output (gate G.Or [ b4; c ]))
+
+let test_ffr_dangling_node () =
+  check_ffr_against_serial
+  @@ build_circuit "dangling" (fun ~input ~gate ~output ->
+         let a = input "a" and b = input "b" and c = input "c" in
+         (* A dead end with no fanout, and a chain that ends in one. *)
+         ignore (gate G.And [ a; b ]);
+         let h = gate G.Or [ b; c ] in
+         ignore (gate G.Not [ gate G.Buf [ h ] ]);
+         output (gate G.Xor [ a; c ]))
+
+let test_ffr_xor_reconvergence () =
+  check_ffr_against_serial
+  @@ build_circuit "xor_reconv" (fun ~input ~gate ~output ->
+         let a = input "a" and b = input "b" and c = input "c" and d = input "d" in
+         (* a's flip reaches the last XOR along both paths and cancels. *)
+         let x1 = gate G.Xor [ a; b ] in
+         let x2 = gate G.Xnor [ a; c ] in
+         output (gate G.Xor [ x1; x2 ]);
+         (* A reconvergence that masks only on some patterns. *)
+         let y1 = gate G.And [ d; b ] in
+         let y2 = gate G.Xor [ d; c ] in
+         output (gate G.Xor [ gate G.Not [ y1 ]; y2; a ]))
+
+let test_ffr_branch_faults_on_root_gate () =
+  let c =
+    build_circuit "root_branches" (fun ~input ~gate ~output ->
+        let a = input "a" and b = input "b" and c = input "c" in
+        (* [r] fans out twice, so branch faults on its pins seed their
+           effect directly at a root; [s] feeds both of r's pins. *)
+        let s = gate G.Or [ a; b ] in
+        let r = gate G.Nor [ s; c; s ] in
+        output (gate G.And [ r; a ]);
+        output (gate G.Xnor [ r; b ]))
+  in
+  let branches =
+    Array.to_list (Faults.Universe.all c)
+    |> List.filter (fun f ->
+           match f.F.site with F.Branch { gate; _ } -> gate = 4 | F.Stem _ -> false)
+  in
+  Alcotest.(check int) "six branch faults on the root gate" 6 (List.length branches);
+  check_ffr_against_serial c
+
+let test_ffr_fault_site_outside_circuit_rejected () =
+  (* The kernel indexes the netlist unchecked, so a fault that names no
+     node, or a pin its gate lacks, must be refused up front. *)
+  let c = Circuit.Generators.c17 () in
+  let patterns = exhaustive_patterns 5 in
+  let gate = N.num_nodes c - 1 in
+  List.iter
+    (fun site ->
+      let faults = [| { F.site; polarity = F.Stuck_at_1 } |] in
+      List.iter
+        (fun (name, run) ->
+          Alcotest.(check bool) (name ^ " refuses the site") true
+            (try
+               ignore (run faults);
+               false
+             with Invalid_argument _ -> true))
+        [ ("ppsfp", fun faults -> Fsim.Ppsfp.run c faults patterns);
+          ("par", fun faults -> Fsim.Par.run ~domains:2 c faults patterns) ])
+    [ F.Stem (N.num_nodes c); F.Stem (-1);
+      F.Branch { gate = c.N.inputs.(0); pin = 0 };
+      F.Branch { gate; pin = Array.length c.N.fanins.(gate) } ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "fsim.engines",
@@ -771,5 +916,14 @@ let suite =
         tc "dominating pair" test_multifault_masking_example;
         tc "polarity clash is deterministic" test_multifault_polarity_clash_deterministic;
         tc "empty set passes" test_multifault_empty_set_passes ] );
+    ( "fsim.ffr",
+      [ tc "gate fed twice by one node" test_ffr_gate_fed_twice;
+        tc "primary output that fans out" test_ffr_output_that_fans_out;
+        tc "primary output mid buffer chain" test_ffr_output_mid_buffer_chain;
+        tc "dangling non-output node" test_ffr_dangling_node;
+        tc "xor reconvergence" test_ffr_xor_reconvergence;
+        tc "branch faults on a root gate" test_ffr_branch_faults_on_root_gate;
+        tc "fault site outside the circuit rejected"
+          test_ffr_fault_site_outside_circuit_rejected ] );
     ( "fsim.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props ) ]

@@ -145,11 +145,35 @@ let test_par_trace_has_shard_spans () =
     [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]";
       "fsim.ndetect.par"; "fsim.ndetect.par.prepare";
       "fsim.ndetect.par.shard[0]"; "fsim.ndetect.par.shard[1]";
+      "fsim.par.goodsim"; "fsim.par.local"; "fsim.par.roots";
+      "fsim.ndetect.par.goodsim"; "fsim.ndetect.par.local";
+      "fsim.ndetect.par.roots";
       "analysis.build"; "analysis.dominators"; "analysis.implications";
       "analysis.prob.signal"; "analysis.prob.observability" ];
   check_metrics_counted
     [ "fsim.par.fault_evals"; "fsim.ndetect.par.fault_evals";
+      "fsim.par.root_propagations"; "fsim.ndetect.par.root_propagations";
       "analysis.prob.nodes"; "analysis.prob.cut_stems" ];
+  (* A shard propagates each fanout-free-region root at most once per
+     block: roots are the nodes whose fanout is not exactly one pin, and
+     the primary outputs.  One 64-pattern block here. *)
+  let roots =
+    List.length
+      (List.filter
+         (fun u ->
+           Array.length circuit.Circuit.Netlist.fanouts.(u) <> 1
+           || Circuit.Netlist.is_output circuit u)
+         (List.init (Circuit.Netlist.num_nodes circuit) Fun.id))
+  in
+  List.iter
+    (fun engine ->
+      let metric = "fsim." ^ engine ^ ".root_propagations" in
+      let v = Option.value ~default:0.0 (Obs.Metrics.value metric) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g <= 2 shards x %d roots x 1 block" metric v roots)
+        true
+        (v <= float_of_int (2 * roots)))
+    [ "par"; "ndetect.par" ];
   (* Exact (BDD) analysis only runs when asked for: the default engine
      build must leave no trace of it. *)
   List.iter
@@ -405,6 +429,29 @@ let test_journal_file_roundtrip () =
           (contains needle summary))
       [ "lsiq test"; "c17"; "fsim.test"; "boom" ]
 
+(* lsiq report reads the kernel's work off the last metrics snapshot:
+   root propagations per fault eval, per engine. *)
+let test_report_prints_root_propagations () =
+  let circuit = tiny_circuit () in
+  let universe = Faults.Universe.all circuit in
+  let patterns =
+    Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:5 ()) circuit ~count:128
+  in
+  let summary =
+    with_obs @@ fun () ->
+    with_journal @@ fun () ->
+    ignore (Fsim.Ppsfp.run circuit universe patterns);
+    Obs.Journal.metrics_snapshot (Obs.Metrics.snapshot ());
+    Obs.Journal.render_summary (Obs.Journal.tail ())
+  in
+  Alcotest.(check bool) "kernel section" true (contains "kernel:" summary);
+  Alcotest.(check bool) "ppsfp ratio line" true
+    (List.exists
+       (fun line ->
+         contains "fsim.ppsfp" line && contains "root propagations" line
+         && contains "per fault eval" line)
+       (String.split_on_char '\n' summary))
+
 (* Unthrottled journal streams from a single-threaded loop are
    deterministic at fixed seed, and items never go backwards. *)
 let journaled_serial_fsim () =
@@ -481,5 +528,6 @@ let suite =
         tc "journal event roundtrip" test_journal_event_roundtrip;
         tc "journal file roundtrip" test_journal_file_roundtrip;
         tc "journal progress deterministic" test_journal_progress_deterministic;
+        tc "report prints root propagations" test_report_prints_root_propagations;
         tc "disabled progress allocates nothing"
           test_disabled_progress_allocates_nothing ] ) ]

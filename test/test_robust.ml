@@ -363,6 +363,63 @@ let test_par_cancelled_midrun_keeps_common_prefix () =
   Alcotest.(check int) "curve stops at the prefix" k
     (Array.length (Fsim.Coverage.curve p))
 
+let test_cancelled_progress_matches_graded () =
+  (* Cancel from the progress printer after the third block step.  The
+     journal's last progress event for the grading must then count the
+     patterns actually graded, not the whole program: each engine steps
+     progress only for the blocks it graded (a Par shard for its own
+     blocks, so a 2-domain run's items lie between domains x graded
+     and domains x patterns). *)
+  let c = Circuit.Generators.random_circuit ~inputs:12 ~gates:300 ~outputs:6 ~seed:7 in
+  let universe = Faults.Universe.all c in
+  let patterns = random_patterns ~seed:8 ~count:640 c in
+  let np = Array.length patterns in
+  List.iter
+    (fun (name, engine, domains) ->
+      let t = Robust.Cancel.create () in
+      let lines = ref 0 in
+      let printer _ =
+        incr lines;
+        if !lines = 3 then Robust.Cancel.cancel t
+      in
+      Obs.Journal.reset ();
+      Obs.Journal.set_enabled true;
+      Obs.Progress.configure ~interval_s:0.0 ~printer:(Some printer) ();
+      Obs.Progress.set_enabled true;
+      let p =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Progress.set_enabled false;
+            Obs.Progress.configure ~interval_s:0.5 ~printer:None ();
+            Obs.Journal.set_enabled false)
+          (fun () -> Fsim.Coverage.profile ~engine ~cancel:t c universe patterns)
+      in
+      let items =
+        List.fold_left
+          (fun last event ->
+            match event with
+            | Obs.Journal.Progress { label; items; _ }
+              when String.starts_with ~prefix:"fsim." label -> Some items
+            | _ -> last)
+          None (Obs.Journal.tail ())
+      in
+      Obs.Journal.reset ();
+      let graded = p.Fsim.Coverage.pattern_count in
+      Alcotest.(check bool) (name ^ ": stopped early") true (graded < np);
+      match items with
+      | None -> Alcotest.failf "%s: no progress event" name
+      | Some items when domains = 1 ->
+        Alcotest.(check int) (name ^ ": last items = graded") graded items
+      | Some items ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: items %d in [%d, %d)" name items
+             (domains * graded) (domains * np))
+          true
+          (items >= domains * graded && items < domains * np))
+    [ ("serial", Fsim.Coverage.Serial, 1); ("ppsfp", Fsim.Coverage.Parallel, 1);
+      ("par 1", Fsim.Coverage.Par { domains = 1 }, 1);
+      ("par 2", Fsim.Coverage.Par { domains = 2 }, 2) ]
+
 (* ------------------------------------------------------------------ *)
 (* PODEM / ATPG                                                        *)
 
@@ -456,6 +513,49 @@ let test_atpg_checkpoint_unexpected_field_raises () =
     (atpg_resume_refused_after
        ~edit:(fun fields ->
          fields @ [ ("use_analysis", Report.Json.Bool false) ]))
+
+(* Save a finished ATPG checkpoint of [atpg_config] on rca:3, rewrite
+   the fields of its state line with [edit], and report whether
+   resuming it raises [Checkpoint.Mismatch] (the CLI's exit 2). *)
+let atpg_payload_refused_after ~edit =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
+  let universe = Faults.Universe.all c in
+  let ckpt resume = { Tpg.Atpg.path; every = 4; resume } in
+  ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe);
+  (match Robust.Checkpoint.load ~path with
+  | Ok (meta, [ Report.Json.Obj fields ]) ->
+    Robust.Checkpoint.save ~path ~meta ~payload:[ Report.Json.Obj (edit fields) ]
+  | Ok _ -> Alcotest.fail "checkpoint payload is not one state line"
+  | Error msg -> Alcotest.fail msg);
+  try
+    ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe);
+    false
+  with Robust.Checkpoint.Mismatch _ -> true
+
+let set_int name f =
+  List.map (function
+    | k, Report.Json.Int v when k = name -> (k, Report.Json.Int (f v))
+    | kv -> kv)
+
+let test_atpg_checkpoint_processed_past_targets () =
+  (* rca:3 has fewer than 1,000 targets. *)
+  Alcotest.(check bool) "processed beyond the target count refused" true
+    (atpg_payload_refused_after ~edit:(set_int "processed" (fun _ -> 1_000)))
+
+let test_atpg_checkpoint_verdicts_past_processed () =
+  Alcotest.(check bool) "untestable + aborted beyond processed refused" true
+    (atpg_payload_refused_after ~edit:(set_int "untestable" (fun _ -> 999)))
+
+let test_atpg_checkpoint_detection_past_patterns () =
+  Alcotest.(check bool) "detection index past the pattern count refused" true
+    (atpg_payload_refused_after
+       ~edit:
+         (List.map (function
+           | "first_detection", Report.Json.List (_ :: rest) ->
+             ("first_detection", Report.Json.List (Report.Json.Int 100_000 :: rest))
+           | kv -> kv)))
 
 let test_atpg_precancelled_counts_unknown () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
@@ -733,7 +833,9 @@ let suite =
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
         tc "cancelled profile is empty prefix" test_fsim_cancelled_partial_profile;
         tc "par cancelled mid-run keeps common prefix"
-          test_par_cancelled_midrun_keeps_common_prefix ]
+          test_par_cancelled_midrun_keeps_common_prefix;
+        tc "cancelled progress matches graded"
+          test_cancelled_progress_matches_graded ]
       @ refused fsim_resume_refused_after fsim_corruptions );
     ( "robust.atpg",
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
@@ -743,7 +845,13 @@ let suite =
           test_atpg_checkpoint_other_generator_raises;
         tc "unexpected checkpoint field refused"
           test_atpg_checkpoint_unexpected_field_raises;
-        tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
+        tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown;
+        tc "processed past the targets refused"
+          test_atpg_checkpoint_processed_past_targets;
+        tc "verdicts past processed refused"
+          test_atpg_checkpoint_verdicts_past_processed;
+        tc "detection past the patterns refused"
+          test_atpg_checkpoint_detection_past_patterns ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
         tc "cancelled prefix durable" test_lot_cancelled_prefix_durable ]
